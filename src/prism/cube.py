@@ -335,6 +335,8 @@ def cube_to_text(diagram):
 
 def isomax_table(n):
     """The isomax dimensions and member sets for every subset, as text."""
+    if n < 0:
+        raise ValueError("isomax needs n >= 0, got %d" % n)
     lines = []
     elements = list(range(n + 1))
     subsets = []

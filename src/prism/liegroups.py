@@ -709,26 +709,26 @@ def _snapshot_data(group, bound):
         for k in _hnf_lattices(group.rank, bound):
             keys[key_name(group, k)] = k
         # a proper cotoral subgroup has strictly smaller dimension, so only
-        # mixed-corank pairs need the lattice test
-        order_pairs = [
-            (a, b)
-            for a in keys
-            for b in keys
-            if keys[a].corank() < keys[b].corank()
-            and cotoral_le(group, keys[a], keys[b])
-        ]
-        for name, k in sorted(keys.items()):
-            d = k.corank()
+        # mixed-corank pairs need the lattice test; the keys are canonical
+        # lattices already, so the test runs on them directly
+        corank = {name: k.corank() for name, k in keys.items()}
+        higher = {d: [b for b in keys if corank[b] > d] for d in set(corank.values())}
+        up = {name: [] for name in keys}
+        order_pairs = []
+        for a, ka in keys.items():
+            for b in higher[corank[a]]:
+                if _lattice_cotoral_le(ka, keys[b]):
+                    order_pairs.append((a, b))
+                    up[a].append(b)
+        for name in sorted(keys):
+            d = corank[name]
             if d == 0:
                 continue
-            above = tuple(
-                b for b in keys if b == name or (name, b) in set(order_pairs)
-            )
             fams.append(
                 AccumulationFamily(
                     id="conv:%s" % name,
                     limit=name,
-                    member_lt=frozenset(above),
+                    member_lt=frozenset([name, *up[name]]),
                     member_height_hint=(d - 1) if d > 1 else None,
                 )
             )

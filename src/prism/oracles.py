@@ -4,7 +4,8 @@ Each suite recomputes a quantity by exhaustive enumeration and compares
 it against the structured implementation; they back the ``oracle`` CLI
 subcommand and the acceptance tests.  The oracles deliberately avoid the
 code paths they check: subset counting against the isomax formula, coset
-enumeration against Smith normal form, iterated derivatives against the
+enumeration against Smith normal form, all-pairs cotoral tests against
+the indexed torus order build, iterated derivatives against the
 fixed-point heights, and raw subset filtering against the down-set
 generator.
 """
@@ -14,8 +15,18 @@ from itertools import combinations
 from . import intlinalg as la
 from .cube import isomax_dim
 from .dispersion import thomason_heights, thomason_derivative
-from .liegroups import Circle, O2, SO3, Torus, flagged_snapshot, _hnf_lattices
-from .priestley import FinitePriestley, down_sets
+from .liegroups import (
+    Circle,
+    O2,
+    SO3,
+    Torus,
+    cotoral_le,
+    flagged_snapshot,
+    key_name,
+    _hnf_lattices,
+    _snapshot_data,
+)
+from .priestley import AccumulationFamily, FinitePriestley, down_sets
 from .spaces import guiding_examples
 
 
@@ -119,10 +130,49 @@ CATALOG_SWEEP = (
     (SO3(), (2, 3, 4)),
     (Torus(1), (2, 3, 4)),
     (Torus(2), (2, 3, 4)),
-    # rank three is included at the small bound: the snapshot grows with
-    # roughly the cube of the bound and larger bounds add no new heights
+    # rank three is swept at the small bound only: bound 3 adds no new
+    # heights, and its 1450 keys need about 0.48 M pairwise lattice tests,
+    # some two seconds of snapshot build
     (Torus(3), (2,)),
 )
+
+
+def check_cotoral_order():
+    """The torus snapshot order and families equal all-pairs ``cotoral_le``
+    with a scan over every key, on each torus rung of the catalog sweep."""
+    cases = 0
+    for group, bounds in CATALOG_SWEEP:
+        if not isinstance(group, Torus):
+            continue
+        for bound in bounds:
+            keys, order_pairs, fams, _ = _snapshot_data(group, bound)
+            lattices = _hnf_lattices(group.rank, bound)
+            if list(keys) != [key_name(group, k) for k in lattices]:
+                raise OracleMismatch("key order differs for %r at %d" % (group, bound))
+            pairs = {
+                (a, b)
+                for a in keys
+                for b in keys
+                if a != b and cotoral_le(group, keys[a], keys[b])
+            }
+            if set(order_pairs) != pairs or len(order_pairs) != len(pairs):
+                raise OracleMismatch("order pairs differ for %r at %d" % (group, bound))
+            expected = [
+                AccumulationFamily(
+                    id="conv:%s" % name,
+                    limit=name,
+                    member_lt=frozenset(
+                        b for b in keys if b == name or (name, b) in pairs
+                    ),
+                    member_height_hint=key.corank() - 1 if key.corank() > 1 else None,
+                )
+                for name, key in sorted(keys.items())
+                if key.corank() > 0
+            ]
+            if list(fams) != expected:
+                raise OracleMismatch("families differ for %r at %d" % (group, bound))
+            cases += len(keys) ** 2
+    return cases
 
 
 def snapshot_spaces():
@@ -215,6 +265,7 @@ def check_down_sets(posets=None):
 
 SUITES = {
     "isomax": check_isomax,
+    "cotoral": check_cotoral_order,
     "snf": check_snf_torsion,
     "derivative": check_derivative_vs_heights,
     "downsets": check_down_sets,

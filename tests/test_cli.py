@@ -45,6 +45,8 @@ def test_isomax_table(capsys):
     assert code == 0
     assert out == isomax_table(2)
     assert "2 l=2 members={2,02,12,012}" in out
+    code, out, err = run(capsys, "isomax", "-1")
+    assert code == 1 and out == "" and err.startswith("ValueError")
 
 
 def test_noetherian(capsys):

@@ -56,7 +56,7 @@ from prism import (
     weyl_data,
 )
 from prism import intlinalg as la
-from prism.oracles import CATALOG_SWEEP, check_snf_torsion
+from prism.oracles import CATALOG_SWEEP, check_cotoral_order, check_snf_torsion
 
 
 def sym3():
@@ -124,6 +124,10 @@ def test_proper_cotoral_increases_dimension():
 
 def test_snf_vs_coset_enumeration():
     assert check_snf_torsion(max_index=24) > 0
+
+
+def test_torus_order_vs_all_pairs():
+    assert check_cotoral_order() > 0
 
 
 def test_key_mismatch():
