@@ -9,7 +9,9 @@ Subcommands::
     prism noetherian <group>               Noetherian verdict for a group
     prism cube <group>                     decomposition diagram
     prism isomax <n>                       isomax dimension table
-    prism oracle <suite>                   run brute-force cross-checks
+    prism oracle <suite>                   run brute-force cross-checks:
+                                           isomax | snf | cotoral |
+                                           derivative | downsets | all
 
 A ``<space>`` is a group identifier (``circle``, ``torus:<r>``, ``o2``,
 ``so3``, ``nsu3t``, ``finite:<path.json>``, ``semidirect:<path.json>``)
@@ -112,9 +114,9 @@ def _cmd_check_dispersion(args):
     space = _resolve_space(args.space, args.bound)
     with open(args.candidate, encoding="utf-8") as fh:
         values = json.loads(fh.read())
-    candidate = dispersion.DispersionCandidate(
-        {k: int(v) for k, v in values.items()}
-    )
+    if not (isinstance(values, dict) and all(type(v) is int for v in values.values())):
+        raise ValueError("a candidate must be a JSON object of integers")
+    candidate = dispersion.DispersionCandidate(values)
     ok, witness = dispersion.is_dispersion(space, candidate)
     if ok:
         _emit("true\n", args.out)

@@ -22,7 +22,7 @@ structural blockers are gone but whose hint is still positive survives
 with the hint decremented (its phantom substructure is being consumed).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import inf
 
 from .errors import ChecksFailed, InconsistentHint
@@ -32,12 +32,11 @@ from .priestley import (
     COFINITE,
     DESCENDING,
     EMPTY,
-    AccumulationFamily,
     FinitePriestley,
     FlaggedPriestley,
     SymbolicSet,
+    restrict,
     thomason_points,
-    is_noetherian,
     up_closure_symbolic,
 )
 
@@ -101,26 +100,21 @@ def thomason_derivative(space):
     tp = thomason_points(space)
     keep = space.concrete - tp.concrete
     consumed = {fid for fid, tag in tp.portions}
-    families = []
-    for f in space.families:
-        if f.id in consumed:
-            continue
-        hint = f.member_height_hint
-        if hint:
-            hint = hint - 1
-        families.append(
-            AccumulationFamily(
-                id=f.id,
-                limit=f.limit,
-                member_order=f.member_order,
-                member_lt=f.member_lt & keep,
-                member_gt=f.member_gt & keep,
-                samples=f.samples,
-                member_height_hint=hint,
-            )
+    # one build, not restrict() plus a second one for the hints: every
+    # build pays for the transitive closure
+    families = tuple(
+        replace(
+            f,
+            member_lt=f.member_lt & keep,
+            member_gt=f.member_gt & keep,
+            # positive hints step down; None and 0 stay
+            member_height_hint=f.member_height_hint and f.member_height_hint - 1,
         )
+        for f in space.families
+        if f.id not in consumed
+    )
     order = frozenset((a, b) for (a, b) in space.order if a in keep and b in keep)
-    return FlaggedPriestley(keep, order, tuple(families))
+    return FlaggedPriestley(keep, order, families)
 
 
 def _structural_floor(space, f, heights):
@@ -132,8 +126,7 @@ def _structural_floor(space, f, heights):
 
 def thomason_heights(space):
     """Least fixed point heights; infinite values mean not dispersible there."""
-    if isinstance(space, FinitePriestley):
-        space = FlaggedPriestley(space.points, space.order, ())
+    space = _as_flagged(space)
     cap = (
         len(space.concrete)
         + len(space.families)
@@ -188,22 +181,11 @@ def thomason_heights(space):
 
 def trivialize(space):
     """Forget the order but keep the convergence data (for CB heights)."""
-    return FlaggedPriestley(
-        space.concrete,
-        frozenset(),
-        tuple(
-            AccumulationFamily(
-                id=f.id,
-                limit=f.limit,
-                member_order=ANTICHAIN,
-                member_lt=frozenset(),
-                member_gt=frozenset(),
-                samples=f.samples,
-                member_height_hint=f.member_height_hint,
-            )
-            for f in space.families
-        ),
+    families = tuple(
+        replace(f, member_order=ANTICHAIN, member_lt=frozenset(), member_gt=frozenset())
+        for f in space.families
     )
+    return FlaggedPriestley(space.concrete, frozenset(), families)
 
 
 def cb_heights(space):
@@ -373,25 +355,23 @@ def gen_closure(space, point):
     point, i.e. the point is one of their declared lower bounds; the
     result carries the induced order.
     """
-    up = up_closure_symbolic(space, point)
-    pts = up.concrete
-    order = frozenset((a, b) for (a, b) in space.order if a in pts and b in pts)
-    fams = tuple(
-        AccumulationFamily(
-            id=f.id,
-            limit=f.limit,
-            member_order=f.member_order,
-            member_lt=f.member_lt & pts,
-            member_gt=f.member_gt & pts,
-            samples=f.samples,
-            member_height_hint=f.member_height_hint,
-        )
-        for f in space.families
-        if f.limit in pts and point in f.member_gt
+    return restrict(
+        space,
+        up_closure_symbolic(space, point).concrete,
+        [f.id for f in space.families if point in f.member_gt],
     )
-    return FlaggedPriestley(pts, order, fams)
 
 
 def is_generically_noetherian(space):
-    """Every generalization closure satisfies the descending chain condition."""
-    return all(is_noetherian(gen_closure(space, p)) for p in space.concrete)
+    """Every generalization closure satisfies the descending chain condition.
+
+    No closure is built: the closure of ``p`` inherits a family exactly
+    when ``p`` is one of its lower bounds and the limit lies above ``p``,
+    and an inherited family breaks the condition when its limit does not
+    dominate its members.
+    """
+    return not any(
+        f.limit not in f.member_lt
+        and any(f.limit in up_closure_symbolic(space, p).concrete for p in f.member_gt)
+        for f in space.families
+    )

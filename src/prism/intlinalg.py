@@ -33,10 +33,6 @@ def mat_mul(a, b):
     )
 
 
-def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
 def det(m):
     """Determinant by cofactor expansion; fine for the sizes used here."""
     n = len(m)
@@ -129,11 +125,6 @@ def solve_in_lattice(hnf_rows, vector):
 
 def lattice_contains(hnf_rows, vector):
     return solve_in_lattice(hnf_rows, vector) is not None
-
-
-def lattice_le(sub_rows, sup_hnf):
-    """True when the lattice generated by sub_rows lies in the HNF lattice."""
-    return all(lattice_contains(sup_hnf, r) for r in sub_rows)
 
 
 def snf_invariant_factors(m):

@@ -36,7 +36,13 @@ import re
 
 from .errors import DimTooLarge, KeyMismatch, NotInvariant, UnsupportedGroup
 from . import intlinalg as la
-from .priestley import AccumulationFamily, FlaggedPriestley, restrict
+from .priestley import (
+    AccumulationFamily,
+    FlaggedPriestley,
+    _json_list,
+    _json_object,
+    restrict,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +118,8 @@ class ToralSemidirect:
             if la.matrix_order(g) is None:
                 raise ValueError("generator does not have finite order (checked to 12)")
         for word in self.relations:
+            if not all(0 <= i < len(gens) for i in word):
+                raise ValueError("relation %r names an unknown generator" % (word,))
             m = la.identity(self.rank)
             for i in word:
                 m = la.mat_mul(m, gens[i])
@@ -622,6 +630,23 @@ def _hnf_lattices(rank, bound):
     return out
 
 
+# the one-dimensional catalog groups: the cyclic family's limit, the first
+# dihedral parameter and the dihedral family's limit (None: no dihedral
+# family), the unparameterized keys in naming order, and the keys that form
+# singleton parts; Dih(1) and Dih(2) of SO(3) fuse with C(2) and V4
+_ONE_DIM = {
+    Circle: ("G", None, None, (FullKey(),), ()),
+    O2: ("SO2", 1, "G", (SO2Key(), FullKey()), ()),
+    SO3: (
+        "SO2",
+        3,
+        "O2",
+        (SO2Key(), O2Key(), A4Key(), S4Key(), A5Key(), KleinKey(), FullKey()),
+        ("G", "A4", "S4", "A5", "V4"),
+    ),
+}
+
+
 @lru_cache(maxsize=None)
 def _snapshot_data(group, bound):
     """Keys, order pairs, families, and part grouping for a catalog group."""
@@ -631,7 +656,6 @@ def _snapshot_data(group, bound):
         raise UnsupportedGroup(
             "subgroup enumeration for toral semidirect products is not modelled"
         )
-    parts = []
     if isinstance(group, FiniteGroup):
         names = [cls.id for cls in group.classes]
         parts = [(n, (n,), ()) for n in names]
@@ -639,72 +663,33 @@ def _snapshot_data(group, bound):
 
     keys = {}
     fams = []
-    if isinstance(group, Circle):
-        cyc = [Cyc(n) for n in range(1, bound + 1)]
-        for k in cyc + [FullKey()]:
+    if type(group) in _ONE_DIM:
+        cyc_limit, dih_start, dih_limit, extra, singles = _ONE_DIM[type(group)]
+        dih = [Dih(n) for n in range(dih_start, bound + 1)] if dih_limit else []
+        for k in [Cyc(n) for n in range(1, bound + 1)] + dih + list(extra):
             keys[key_name(group, k)] = k
         fams.append(
             AccumulationFamily(
                 id="cyclic",
-                limit="G",
-                member_lt=frozenset({"G"}),
+                limit=cyc_limit,
+                member_lt=frozenset({cyc_limit}),
                 samples=tuple("C(%d)" % n for n in range(bound + 1, bound + 4)),
             )
         )
-        parts = [("cyclic", tuple(keys), ("cyclic",))]
-    elif isinstance(group, O2):
-        for k in [Cyc(n) for n in range(1, bound + 1)]:
-            keys[key_name(group, k)] = k
-        for k in [Dih(n) for n in range(1, bound + 1)]:
-            keys[key_name(group, k)] = k
-        keys["SO2"] = SO2Key()
-        keys["G"] = FullKey()
-        fams.append(
-            AccumulationFamily(
-                id="cyclic",
-                limit="SO2",
-                member_lt=frozenset({"SO2"}),
-                samples=tuple("C(%d)" % n for n in range(bound + 1, bound + 4)),
+        cyc_names = tuple(n for n in keys if n.startswith("C(")) + (cyc_limit,)
+        parts = [("cyclic", cyc_names, ("cyclic",))]
+        if dih_limit:
+            dstart = max(dih_start, bound + 1)
+            fams.append(
+                AccumulationFamily(
+                    id="dihedral",
+                    limit=dih_limit,
+                    samples=tuple("D(%d)" % (2 * n) for n in range(dstart, dstart + 3)),
+                )
             )
-        )
-        fams.append(
-            AccumulationFamily(
-                id="dihedral",
-                limit="G",
-                samples=tuple("D(%d)" % (2 * n) for n in range(bound + 1, bound + 4)),
-            )
-        )
-        cyc_names = tuple(n for n in keys if n.startswith("C(")) + ("SO2",)
-        dih_names = tuple(n for n in keys if n.startswith("D(")) + ("G",)
-        parts = [("cyclic", cyc_names, ("cyclic",)), ("dihedral", dih_names, ("dihedral",))]
-    elif isinstance(group, SO3):
-        for k in [Cyc(n) for n in range(1, bound + 1)]:
-            keys[key_name(group, k)] = k
-        for k in [Dih(n) for n in range(3, bound + 1)]:
-            keys[key_name(group, k)] = k
-        for k in [SO2Key(), O2Key(), A4Key(), S4Key(), A5Key(), KleinKey(), FullKey()]:
-            keys[key_name(group, k)] = k
-        dstart = max(3, bound + 1)
-        fams.append(
-            AccumulationFamily(
-                id="cyclic",
-                limit="SO2",
-                member_lt=frozenset({"SO2"}),
-                samples=tuple("C(%d)" % n for n in range(bound + 1, bound + 4)),
-            )
-        )
-        fams.append(
-            AccumulationFamily(
-                id="dihedral",
-                limit="O2",
-                samples=tuple("D(%d)" % (2 * n) for n in range(dstart, dstart + 3)),
-            )
-        )
-        cyc_names = tuple(n for n in keys if n.startswith("C(")) + ("SO2",)
-        dih_names = tuple(n for n in keys if n.startswith("D(")) + ("O2",)
-        parts = [("cyclic", cyc_names, ("cyclic",)), ("dihedral", dih_names, ("dihedral",))]
-        for single in ("G", "A4", "S4", "A5", "V4"):
-            parts.append((single, (single,), ()))
+            dih_names = tuple(n for n in keys if n.startswith("D(")) + (dih_limit,)
+            parts.append(("dihedral", dih_names, ("dihedral",)))
+        parts += [(single, (single,), ()) for single in singles]
     elif isinstance(group, Torus):
         for k in _hnf_lattices(group.rank, bound):
             keys[key_name(group, k)] = k
@@ -770,8 +755,8 @@ def snapshot_parts(group, bound):
     singleton piece per exceptional class; finite groups fall apart into
     singletons; the circle and the tori are a single piece.
     """
-    keys, order_pairs, fams, parts = _snapshot_data(group, bound)
-    space = FlaggedPriestley(frozenset(keys), frozenset(order_pairs), tuple(fams))
+    space = flagged_snapshot(group, bound)
+    parts = _snapshot_data(group, bound)[3]
     return [
         (label, restrict(space, points, fam_ids)) for label, points, fam_ids in parts
     ]
@@ -837,30 +822,32 @@ def rank_candidate(group, space):
 
 def finite_group_from_json(text):
     """Schema: {"classes": [{"id", "weylOrder", "weylName"?}, ...]}."""
-    data = json.loads(text)
-    if not isinstance(data, dict) or set(data) - {"classes"}:
-        raise ValueError("expected an object with a 'classes' field")
+    data = _json_object(json.loads(text), ("classes",))
     classes = []
-    for entry in data["classes"]:
-        bad = set(entry) - {"id", "weylOrder", "weylName"}
-        if bad:
-            raise ValueError("unknown class fields: %s" % ", ".join(sorted(bad)))
+    for entry in _json_list(data["classes"], "classes", dict):
+        _json_object(entry, ("id", "weylOrder"), ("weylName",))
+        if not (
+            isinstance(entry["id"], str)
+            and isinstance(entry.get("weylName", ""), str)
+            and type(entry["weylOrder"]) is int
+        ):
+            raise ValueError("a class needs string id/weylName and an integer weylOrder")
         classes.append(
-            FiniteClass(entry["id"], int(entry["weylOrder"]), entry.get("weylName", ""))
+            FiniteClass(entry["id"], entry["weylOrder"], entry.get("weylName", ""))
         )
     return FiniteGroup(tuple(classes))
 
 
 def toral_semidirect_from_json(text):
     """Schema: {"rank": r, "generators": [[[..]..]..], "relations": [[..]..]}."""
-    data = json.loads(text)
-    if not isinstance(data, dict) or set(data) - {"rank", "generators", "relations"}:
-        raise ValueError("expected rank/generators/relations")
-    return ToralSemidirect(
-        int(data["rank"]),
-        tuple(tuple(tuple(int(x) for x in row) for row in g) for g in data["generators"]),
-        tuple(tuple(int(i) for i in w) for w in data.get("relations", [])),
-    )
+    data = _json_object(json.loads(text), ("rank", "generators"), ("relations",))
+    try:
+        rank = int(data["rank"])
+        gens = tuple(tuple(tuple(int(x) for x in row) for row in g) for g in data["generators"])
+        rels = tuple(tuple(int(i) for i in w) for w in data.get("relations", []))
+    except TypeError as err:  # a number where an array belongs, or the reverse
+        raise ValueError("malformed semidirect spec: %s" % err) from None
+    return ToralSemidirect(rank, gens, rels)
 
 
 def group_from_spec(spec, read_file=None):

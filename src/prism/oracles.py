@@ -256,7 +256,7 @@ def check_down_sets(posets=None):
             s = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)
             if poset.is_down_set(s):
                 oracle.add(s)
-        fast = set(down_sets(poset).sets)
+        fast = set(down_sets(poset))
         if fast != oracle:
             raise OracleMismatch("down-set families differ on %r" % (pts,))
         cases += 1

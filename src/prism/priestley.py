@@ -34,7 +34,7 @@ the tag and swaps the bounds, so chain families are fully faithful only in
 their declared orientation.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 import json
 
@@ -54,6 +54,7 @@ _INFINITE = (COFINITE, ALL)
 
 
 def _transitive_closure(points, pairs):
+    """Reflexive-transitive closure of ``pairs``; raises unless antisymmetric."""
     succ = {p: set() for p in points}
     for (a, b) in pairs:
         if a not in succ or b not in succ:
@@ -70,6 +71,9 @@ def _transitive_closure(points, pairs):
                     seen.add(q)
                     stack.append(q)
         le.update((p, q) for q in seen)
+    for (a, b) in le:
+        if a != b and (b, a) in le:
+            raise ValueError("order is not antisymmetric on %r, %r" % (a, b))
     return frozenset(le)
 
 
@@ -142,12 +146,10 @@ class FinitePriestley:
 
     def __post_init__(self):
         points = frozenset(self.points)
-        le = _transitive_closure(points, set(map(tuple, self.order)))
-        for (a, b) in le:
-            if a != b and (b, a) in le:
-                raise ValueError("order is not antisymmetric on %r, %r" % (a, b))
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "order", le)
+        object.__setattr__(
+            self, "order", _transitive_closure(points, set(map(tuple, self.order)))
+        )
 
     def le(self, p, q):
         return (p, q) in self.order
@@ -205,21 +207,7 @@ def down_sets(p):
             if t not in seen:
                 seen.add(t)
                 frontier.append(t)
-    return DownSetFamily(tuple(sorted(seen, key=lambda s: (len(s), sorted(s)))))
-
-
-@dataclass(frozen=True)
-class DownSetFamily:
-    sets: tuple
-
-    def __len__(self):
-        return len(self.sets)
-
-    def __iter__(self):
-        return iter(self.sets)
-
-    def __contains__(self, s):
-        return frozenset(s) in set(self.sets)
+    return tuple(sorted(seen, key=lambda s: (len(s), sorted(s))))
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +239,9 @@ class AccumulationFamily:
             raise ValueError("unknown member order %r" % (self.member_order,))
         if self.member_lt & self.member_gt:
             raise ValueError("member_lt and member_gt must be disjoint")
-        if self.member_height_hint is not None and self.member_height_hint < 0:
-            raise ValueError("height hint must be a natural number")
+        hint = self.member_height_hint
+        if hint is not None and (type(hint) is not int or hint < 0):
+            raise ValueError("height hint must be a natural number, got %r" % (hint,))
 
 
 @dataclass(frozen=True)
@@ -266,9 +255,6 @@ class FlaggedPriestley:
     def __post_init__(self):
         pts = frozenset(self.concrete)
         le = _transitive_closure(pts, set(map(tuple, self.order)))
-        for (a, b) in le:
-            if a != b and (b, a) in le:
-                raise ValueError("order is not antisymmetric on %r, %r" % (a, b))
         fams = tuple(sorted(self.families, key=lambda f: f.id))
         ids = [f.id for f in fams]
         if len(set(ids)) != len(ids):
@@ -404,40 +390,37 @@ class SymbolicSet:
         return parts + (" / members: {%s}" % fams if fams else "")
 
 
-def down_closure_symbolic(space, p):
-    """Everything below ``p``, member-mediated relations included."""
-    concrete = set(space.down_closure(p))
+def _symbolic_closure(space, p, down):
+    """Everything below (``down``) or above ``p``, member-mediated
+    relations included: a family with a bound on the near side of its
+    members inside (above them when going down) contributes all its
+    members, and the bounds on their far side join with their closures."""
+    closure = space.down_closure if down else space.up_closure
+    concrete = set(closure(p))
     tags = {}
     changed = True
     while changed:
         changed = False
         for f in space.families:
-            if f.member_lt & concrete and tags.get(f.id) != ALL:
+            near, far = (f.member_lt, f.member_gt) if down else (f.member_gt, f.member_lt)
+            if near & concrete and tags.get(f.id) != ALL:
                 tags[f.id] = ALL
                 changed = True
-            if tags.get(f.id) == ALL and not f.member_gt <= concrete:
-                for g in f.member_gt:
-                    concrete |= space.down_closure(g)
+            if tags.get(f.id) == ALL and not far <= concrete:
+                for q in far:
+                    concrete |= closure(q)
                 changed = True
     return SymbolicSet(frozenset(concrete), tags)
+
+
+def down_closure_symbolic(space, p):
+    """Everything below ``p``, member-mediated relations included."""
+    return _symbolic_closure(space, p, down=True)
 
 
 def up_closure_symbolic(space, p):
     """Everything above ``p``, member-mediated relations included."""
-    concrete = set(space.up_closure(p))
-    tags = {}
-    changed = True
-    while changed:
-        changed = False
-        for f in space.families:
-            if f.member_gt & concrete and tags.get(f.id) != ALL:
-                tags[f.id] = ALL
-                changed = True
-            if tags.get(f.id) == ALL and not f.member_lt <= concrete:
-                for l in f.member_lt:
-                    concrete |= space.up_closure(l)
-                changed = True
-    return SymbolicSet(frozenset(concrete), tags)
+    return _symbolic_closure(space, p, down=False)
 
 
 # ---------------------------------------------------------------------------
@@ -446,24 +429,13 @@ def up_closure_symbolic(space, p):
 
 def inverse(space):
     """Order reversal; an involution on both kinds of spaces."""
+    order = frozenset((b, a) for (a, b) in space.order)
     if isinstance(space, FinitePriestley):
-        return FinitePriestley(space.points, frozenset((b, a) for (a, b) in space.order))
-    return FlaggedPriestley(
-        space.concrete,
-        frozenset((b, a) for (a, b) in space.order),
-        tuple(
-            AccumulationFamily(
-                id=f.id,
-                limit=f.limit,
-                member_order=f.member_order,
-                member_lt=f.member_gt,
-                member_gt=f.member_lt,
-                samples=f.samples,
-                member_height_hint=f.member_height_hint,
-            )
-            for f in space.families
-        ),
+        return replace(space, order=order)
+    families = tuple(
+        replace(f, member_lt=f.member_gt, member_gt=f.member_lt) for f in space.families
     )
+    return replace(space, order=order, families=families)
 
 
 def thomason_points(space):
@@ -609,19 +581,12 @@ def restrict(space, points, family_ids):
     responsible for the subset being meaningful (e.g. a clopen piece).
     """
     pts = frozenset(points)
+    ids = set(family_ids)
     order = frozenset((a, b) for (a, b) in space.order if a in pts and b in pts)
     fams = tuple(
-        AccumulationFamily(
-            id=f.id,
-            limit=f.limit,
-            member_order=f.member_order,
-            member_lt=f.member_lt & pts,
-            member_gt=f.member_gt & pts,
-            samples=f.samples,
-            member_height_hint=f.member_height_hint,
-        )
+        replace(f, member_lt=f.member_lt & pts, member_gt=f.member_gt & pts)
         for f in space.families
-        if f.id in set(family_ids) and f.limit in pts
+        if f.id in ids and f.limit in pts
     )
     return FlaggedPriestley(pts, order, fams)
 
@@ -663,45 +628,63 @@ def realize_in_truncation(space, sym, depth):
         elif tag == COFINITE:
             out.update(names[1:])  # drop the first member: a tail for chains
         elif tag == FINITE:
-            if f.member_order == DESCENDING:
-                out.add(names[0])  # a prefix
-            else:
-                out.add(names[0])
+            out.add(names[0])  # one member: a prefix for chains
     return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
 # JSON (schema flagged-priestley/v1)
 
-_FAMILY_FIELDS = {
-    "id", "limit", "memberOrder", "memberLt", "memberGt", "samples", "heightHint",
-}
-_TOP_FIELDS = {"points", "order", "families"}
+_FAMILY_OPTIONAL = ("memberOrder", "memberLt", "memberGt", "samples", "heightHint")
+_JSON_KINDS = {str: "strings", list: "arrays", dict: "objects"}
+
+
+def _json_object(data, required=(), optional=()):
+    """``data`` checked to be a JSON object with every required field and
+    no field outside ``required`` and ``optional``."""
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object, got %r" % (data,))
+    unknown = set(data) - set(required) - set(optional)
+    if unknown:
+        raise ValueError("unknown fields: %s" % ", ".join(sorted(unknown)))
+    missing = set(required) - set(data)
+    if missing:
+        raise ValueError("missing fields: %s" % ", ".join(sorted(missing)))
+    return data
+
+
+def _json_list(value, field, kind=str):
+    if not (isinstance(value, list) and all(isinstance(x, kind) for x in value)):
+        raise ValueError("%s must be an array of %s" % (field, _JSON_KINDS[kind]))
+    return value
 
 
 def flagged_from_json(text):
-    """Parse the flagged-priestley/v1 schema; unknown fields are rejected."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("expected a JSON object")
-    unknown = set(data) - _TOP_FIELDS
-    if unknown:
-        raise ValueError("unknown fields: %s" % ", ".join(sorted(unknown)))
-    points = data.get("points", [])
-    order = [tuple(pair) for pair in data.get("order", [])]
+    """Parse the flagged-priestley/v1 schema.
+
+    Unknown fields, missing required fields and fields of the wrong type
+    raise ValueError.
+    """
+    data = _json_object(json.loads(text), optional=("points", "order", "families"))
+    points = _json_list(data.get("points", []), "points")
+    order = []
+    for pair in _json_list(data.get("order", []), "order", list):
+        if len(_json_list(pair, "an order pair")) != 2:
+            raise ValueError("an order pair must name two points, got %r" % (pair,))
+        order.append(tuple(pair))
     families = []
-    for fam in data.get("families", []):
-        bad = set(fam) - _FAMILY_FIELDS
-        if bad:
-            raise ValueError("unknown family fields: %s" % ", ".join(sorted(bad)))
+    for fam in _json_list(data.get("families", []), "families", dict):
+        _json_object(fam, ("id", "limit"), _FAMILY_OPTIONAL)
+        if not (isinstance(fam["id"], str) and isinstance(fam["limit"], str)):
+            raise ValueError("family id and limit must be strings")
         families.append(
             AccumulationFamily(
                 id=fam["id"],
                 limit=fam["limit"],
                 member_order=fam.get("memberOrder", ANTICHAIN),
-                member_lt=frozenset(fam.get("memberLt", [])),
-                member_gt=frozenset(fam.get("memberGt", [])),
-                samples=tuple(fam.get("samples", [])),
+                member_lt=frozenset(_json_list(fam.get("memberLt", []), "memberLt")),
+                member_gt=frozenset(_json_list(fam.get("memberGt", []), "memberGt")),
+                samples=tuple(_json_list(fam.get("samples", []), "samples")),
                 member_height_hint=fam.get("heightHint"),
             )
         )

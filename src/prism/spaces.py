@@ -39,20 +39,11 @@ def convergent_sequence_space(relation, named=4, limit="inf"):
     """
     if relation not in RELATIONS:
         raise ValueError("unknown relation %r" % (relation,))
-    if relation == DESCENDING_TO_LIMIT:
+    if relation in (DESCENDING_TO_LIMIT, LIMIT_BELOW):
         fam = AccumulationFamily(
             id="tail",
             limit=limit,
-            member_order=DESCENDING,
-            member_gt=frozenset({limit}),
-            samples=("0", "1", "2"),
-        )
-        return FlaggedPriestley(frozenset({limit}), (), (fam,))
-    if relation == LIMIT_BELOW:
-        fam = AccumulationFamily(
-            id="tail",
-            limit=limit,
-            member_order=ANTICHAIN,
+            member_order=DESCENDING if relation == DESCENDING_TO_LIMIT else ANTICHAIN,
             member_gt=frozenset({limit}),
             samples=("0", "1", "2"),
         )

@@ -149,3 +149,52 @@ def test_oracle_command(capsys):
     assert code == 0 and out.startswith("ok isomax (")
     code, out, _ = run(capsys, "oracle", "downsets")
     assert code == 0 and "ok downsets" in out
+
+
+
+def _family(**fields):
+    return {"points": ["a"], "families": [{"id": "f", "limit": "a", **fields}]}
+
+
+# (case, command, JSON file contents); the file path ends the command
+MALFORMED_INPUTS = [
+    ("family-without-limit", ["heights"], {"points": ["a"], "families": [{"id": "f"}]}),
+    ("family-without-id", ["heights"], {"points": ["a"], "families": [{"limit": "a"}]}),
+    ("numeric-limit", ["heights"], {"points": ["a"], "families": [{"id": "f", "limit": 1}]}),
+    ("string-hint", ["heights"], _family(heightHint="x")),
+    ("bool-hint", ["heights"], _family(heightHint=True)),
+    ("string-bounds", ["heights"], _family(memberLt="a")),
+    ("numeric-samples", ["heights"], _family(samples=3)),
+    ("family-not-object", ["heights"], {"points": ["a"], "families": ["f"]}),
+    ("points-string", ["heights"], {"points": "ab"}),
+    ("numeric-point", ["heights"], {"points": ["a", 2]}),
+    ("order-triple", ["heights"], {"points": ["a", "b"], "order": [["a", "b", "a"]]}),
+    ("order-pair-string", ["heights"], {"points": ["a", "b"], "order": ["ab"]}),
+    ("class-without-weyl-order", ["noetherian", "finite:"], {"classes": [{"id": "1"}]}),
+    ("array-weyl-order", ["noetherian", "finite:"],
+     {"classes": [{"id": "1", "weylOrder": [1]}]}),
+    ("classes-not-array", ["noetherian", "finite:"], {"classes": 3}),
+    ("no-classes", ["noetherian", "finite:"], {}),
+    ("no-generators", ["noetherian", "semidirect:"], {"rank": 1}),
+    ("numeric-generators", ["noetherian", "semidirect:"], {"rank": 1, "generators": 5}),
+    ("unknown-generator", ["noetherian", "semidirect:"],
+     {"rank": 1, "generators": [[[-1]]], "relations": [[3]]}),
+    ("candidate-array", ["check-dispersion", "circle"], [0, 1]),
+    ("candidate-array-value", ["check-dispersion", "circle"], {"C(1)": [0]}),
+]
+
+
+@pytest.mark.parametrize(
+    "command,contents", [pytest.param(c, j, id=i) for i, c, j in MALFORMED_INPUTS]
+)
+def test_malformed_input_is_a_value_error(tmp_path, capsys, command, contents):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(contents))
+    if command[-1].endswith(":"):
+        argv = command[:-1] + [command[-1] + str(path)]
+    else:
+        argv = command + [str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ValueError:"), err

@@ -6,6 +6,8 @@ from math import inf
 import pytest
 
 from prism import (
+    ANTICHAIN,
+    DESCENDING,
     AccumulationFamily,
     ChecksFailed,
     DispersionCandidate,
@@ -15,9 +17,12 @@ from prism import (
     cb_heights,
     convergent_sequence_space,
     dimension_candidate,
+    down_closure_symbolic,
+    flagged_to_json,
     gen_closure,
     guiding_examples,
     height_of_space,
+    instantiate,
     inverse,
     is_dispersible,
     is_dispersion,
@@ -27,10 +32,12 @@ from prism import (
     strata,
     thomason_derivative,
     thomason_heights,
+    up_closure_symbolic,
     weakly_visible,
 )
 from prism import Circle, O2, SO3, Torus, flagged_snapshot
 from prism.oracles import catalog_spaces, check_derivative_vs_heights, snapshot_spaces
+from prism.priestley import realize_in_truncation
 
 
 def circle_snapshot(bound=3):
@@ -396,3 +403,51 @@ def test_surrogate_axiom_matches_closed_set_check():
             assert surrogate == axiom_two_on_closed_sets(space, candidate)
             if ok:
                 assert surrogate
+
+
+# ---------------------------------------------------------------------------
+# randomized cross-checks against the finite truncation
+
+
+def random_flagged_space(rng):
+    """Points p0, p1, ... with every order pair rising in index; each
+    family's upper bounds come after its lower bounds in that index, so
+    no family closes a cycle."""
+    n = rng.randint(2, 8)
+    pts = ["p%d" % i for i in range(n)]
+    order = [(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    fams = []
+    for k in range(rng.randint(0, 4)):
+        cut = rng.randint(0, n)
+        chain = rng.random() < 0.3
+        fams.append(
+            AccumulationFamily(
+                id="f%d" % k,
+                limit=rng.choice(pts),
+                member_order=DESCENDING if chain else ANTICHAIN,
+                member_gt=frozenset(p for p in pts[:cut] if rng.random() < 0.4),
+                member_lt=frozenset(p for p in pts[cut:] if rng.random() < 0.4),
+                member_height_hint=None if chain or rng.random() < 0.7 else rng.randint(0, 2),
+            )
+        )
+    return FlaggedPriestley(frozenset(pts), order, tuple(fams))
+
+
+def test_random_spaces_against_truncation():
+    rng = random.Random(20261018)
+    verdicts = set()
+    for _ in range(300):
+        space = random_flagged_space(rng)
+        for depth in (1, 3):
+            finite = instantiate(space, depth)
+            for p in space.concrete:
+                up = up_closure_symbolic(space, p)
+                down = down_closure_symbolic(space, p)
+                assert realize_in_truncation(space, up, depth) == finite.up_closure(p)
+                assert realize_in_truncation(space, down, depth) == finite.down_closure(p)
+        # the per-point definition: every generalization closure is Noetherian
+        reference = all(is_noetherian(gen_closure(space, p)) for p in space.concrete)
+        assert is_generically_noetherian(space) == reference
+        verdicts.add(reference)
+        assert flagged_to_json(inverse(inverse(space))) == flagged_to_json(space)
+    assert verdicts == {True, False}

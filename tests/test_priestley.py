@@ -192,7 +192,7 @@ def test_down_sets_examples():
     # frozen from the exhaustive subset filter: the V poset has exactly
     # five down-sets (empty, each closed point, both, everything)
     assert len(down_sets(vee())) == 5
-    assert set(down_sets(vee()).sets) == exhaustive_down_sets(vee())
+    assert set(down_sets(vee())) == exhaustive_down_sets(vee())
 
 
 def test_down_sets_closed_under_union_and_intersection():
@@ -201,7 +201,7 @@ def test_down_sets_closed_under_union_and_intersection():
     posets = [vee(), FinitePriestley(frozenset("abcde"), [("a", "b"), ("c", "b"), ("d", "e")])]
     posets += sample_posets(max_size=12)
     for p in posets:
-        family = set(down_sets(p).sets)
+        family = set(down_sets(p))
         for a in family:
             for b in family:
                 assert a | b in family
