@@ -8,7 +8,7 @@ Subcommands::
     prism closed-sets <space>              clopen down-set classes
     prism noetherian <group>               Noetherian verdict for a group
     prism cube <group>                     decomposition diagram
-    prism isomax <n>                       isomax dimension table
+    prism isomax <n>                       isomax dimension table, 0 <= n <= 12
     prism oracle <suite>                   run brute-force cross-checks:
                                            isomax | snf | cotoral |
                                            derivative | downsets | all
@@ -34,6 +34,7 @@ from . import dispersion
 from . import liegroups
 from . import oracles
 from . import priestley
+from .cube import ISOMAX_MAX_N
 from .cube import build_decomposition, cube_to_dot, cube_to_json, cube_to_text, isomax_table
 
 
@@ -208,7 +209,7 @@ def build_parser():
     )
     sub.choices["cube"].add_argument("group")
     p = sub.add_parser("isomax", help="isomax dimension table")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help="0 <= n <= %d" % ISOMAX_MAX_N)
     p.add_argument("--out", default=None)
     p = sub.add_parser("oracle", help="run brute-force cross-checks")
     p.add_argument("suite", choices=sorted(oracles.SUITES) + ["all"])

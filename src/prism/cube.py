@@ -333,10 +333,15 @@ def cube_to_text(diagram):
     return "\n".join(lines) + "\n"
 
 
+# the table lists every subset of {0..n} with its members: n = 12 already
+# takes seconds and tens of MB, and each +2 costs about twelve times more
+ISOMAX_MAX_N = 12
+
+
 def isomax_table(n):
     """The isomax dimensions and member sets for every subset, as text."""
-    if n < 0:
-        raise ValueError("isomax needs n >= 0, got %d" % n)
+    if not 0 <= n <= ISOMAX_MAX_N:
+        raise ValueError("isomax needs 0 <= n <= %d, got %d" % (ISOMAX_MAX_N, n))
     lines = []
     elements = list(range(n + 1))
     subsets = []

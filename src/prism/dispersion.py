@@ -1,7 +1,7 @@
 """Thomason derivatives, heights, and dispersion checks on flagged spaces.
 
 Heights live in the naturals plus ``math.inf``.  The Thomason height is
-the least fixed point of
+the least solution of
 
     h(p)      = max(0, h(q)+1 for concrete q < p,
                        fam(f)+1 for families with limit p,
@@ -10,11 +10,15 @@ the least fixed point of
                 max(0, h(c)+1 for c in member_gt(f), declared hint)
                                                for antichain families,
 
-computed by saturating chaotic iteration: any value that reaches the cap
-(concrete points + families + declared hints + 1) cannot be a finite
-height, so it is reported as infinity.  A member height hint enters the
-fixed point as a floor; a hint strictly below the structurally forced
-value is rejected as inconsistent.
+which is a longest path in the graph on the concrete points and the
+family ids with edges q -> p for q < p, c -> f for c in member_gt(f), and
+f -> limit(f), f -> member_lt(f).  One pass of Kahn's algorithm computes
+it.  A node the pass leaves over lies on a cycle through some family
+(one whose limit sits at or below a lower bound of its members) or above
+one, and its height is infinite, as is every height above a descending
+chain.  A member height hint is the family's starting value, so it acts
+as a floor; a hint strictly below the structurally forced value is
+rejected as inconsistent.
 
 The derivative mirrors the same bookkeeping step by step so that k
 applications remove exactly the material of height < k: a family whose
@@ -35,6 +39,8 @@ from .priestley import (
     FinitePriestley,
     FlaggedPriestley,
     SymbolicSet,
+    _induced_order,
+    _kahn,
     restrict,
     thomason_points,
     up_closure_symbolic,
@@ -94,9 +100,7 @@ def thomason_derivative(space):
     if isinstance(space, FinitePriestley):
         gone = space.minimal_points()
         keep = space.points - gone
-        return FinitePriestley(
-            keep, frozenset((a, b) for (a, b) in space.order if a in keep and b in keep)
-        )
+        return FinitePriestley(keep, _induced_order(space.order, keep))
     tp = thomason_points(space)
     keep = space.concrete - tp.concrete
     consumed = {fid for fid, tag in tp.portions}
@@ -113,8 +117,7 @@ def thomason_derivative(space):
         for f in space.families
         if f.id not in consumed
     )
-    order = frozenset((a, b) for (a, b) in space.order if a in keep and b in keep)
-    return FlaggedPriestley(keep, order, families)
+    return FlaggedPriestley(keep, _induced_order(space.order, keep), families)
 
 
 def _structural_floor(space, f, heights):
@@ -125,44 +128,30 @@ def _structural_floor(space, f, heights):
 
 
 def thomason_heights(space):
-    """Least fixed point heights; infinite values mean not dispersible there."""
+    """Longest-path heights; infinite values mean not dispersible there."""
     space = _as_flagged(space)
-    cap = (
-        len(space.concrete)
-        + len(space.families)
-        + sum(f.member_height_hint or 0 for f in space.families)
-        + 1
-    )
-    h = {p: 0 for p in space.concrete}
-    fam = {f.id: 0 for f in space.families}
-    below = {p: [q for q in space.concrete if space.le(q, p) and q != p] for p in space.concrete}
-    changed = True
-    while changed:
-        changed = False
-        for f in space.families:
-            if f.member_order == DESCENDING:
-                value = cap
-            else:
-                value = _structural_floor(space, f, h)
-                if f.member_height_hint is not None:
-                    value = max(value, f.member_height_hint)
-            value = min(value, cap)
-            if value != fam[f.id]:
-                fam[f.id] = value
-                changed = True
-        for p in space.concrete:
-            value = 0
-            for q in below[p]:
-                value = max(value, h[q] + 1)
-            for f in space.families:
-                if f.limit == p or p in f.member_lt:
-                    value = max(value, fam[f.id] + 1)
-            value = min(value, cap)
-            if value != h[p]:
-                h[p] = value
-                changed = True
-    heights = {p: (inf if v >= cap else v) for p, v in h.items()}
-    fam_heights = {fid: (inf if v >= cap else v) for fid, v in fam.items()}
+    value = dict.fromkeys(space.concrete, 0)
+    succ = {p: [] for p in space.concrete}
+    for f in space.families:
+        value[f.id] = inf if f.member_order == DESCENDING else f.member_height_hint or 0
+        succ[f.id] = list(f.member_lt | {f.limit})
+        for c in f.member_gt:
+            succ[c].append(f.id)
+    for (a, b) in space.order:
+        if a != b:
+            succ[a].append(b)
+    topo, left = _kahn(succ)
+    for n in topo:
+        step = value[n] + 1
+        for q in succ[n]:
+            if value[q] < step:
+                value[q] = step
+    # what the pass leaves over lies on a cycle through a family, or above one
+    for n, d in left.items():
+        if d:
+            value[n] = inf
+    heights = {p: value[p] for p in space.concrete}
+    fam_heights = {f.id: value[f.id] for f in space.families}
     for f in space.families:
         if f.member_height_hint is None:
             continue
@@ -227,9 +216,9 @@ def is_dispersion(space, candidate):
     for name, v in values.items():
         if not isinstance(v, int) or v < 0:
             raise ValueError("candidate value for %r is not a natural" % (name,))
-    for p, q in sorted(space.order):
-        if p != q and not values[p] < values[q]:
-            return False, ("order", p, q)
+    broken = [(p, q) for (p, q) in space.order if p != q and not values[p] < values[q]]
+    if broken:
+        return False, ("order",) + min(broken)
     for f in space.families:
         for c in sorted(f.member_lt):
             if not values[f.id] < values[c]:

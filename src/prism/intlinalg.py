@@ -110,13 +110,15 @@ def solve_in_lattice(hnf_rows, vector):
     """Coordinates of ``vector`` in the HNF basis, or None if not in the lattice."""
     v = list(vector)
     coeffs = []
+    j = 0  # the rows are in echelon form: each pivot lies right of the last
     for row in hnf_rows:
-        j = next(i for i, x in enumerate(row) if x)
+        while not row[j]:
+            j += 1
         if v[j] % row[j] != 0:
             return None
         c = v[j] // row[j]
         coeffs.append(c)
-        for k in range(len(v)):
+        for k in range(j, len(v)):
             v[k] -= c * row[k]
     if any(v):
         return None

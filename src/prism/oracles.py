@@ -6,7 +6,7 @@ subcommand and the acceptance tests.  The oracles deliberately avoid the
 code paths they check: subset counting against the isomax formula, coset
 enumeration against Smith normal form, all-pairs cotoral tests against
 the indexed torus order build, iterated derivatives against the
-fixed-point heights, and raw subset filtering against the down-set
+longest-path heights, and raw subset filtering against the down-set
 generator.
 """
 

@@ -53,28 +53,108 @@ ALL = "all"
 _INFINITE = (COFINITE, ALL)
 
 
+def _kahn(succ):
+    """Kahn's algorithm on a successor map: the nodes in a topological
+    order, and the in-degrees left over, which are positive exactly on the
+    nodes that lie on a cycle or above one."""
+    indegree = dict.fromkeys(succ, 0)
+    for targets in succ.values():
+        for q in targets:
+            indegree[q] += 1
+    topo = [p for p in succ if not indegree[p]]
+    for p in topo:
+        for q in succ[p]:
+            indegree[q] -= 1
+            if not indegree[q]:
+                topo.append(q)
+    return topo, indegree
+
+
 def _transitive_closure(points, pairs):
-    """Reflexive-transitive closure of ``pairs``; raises unless antisymmetric."""
+    """Reflexive-transitive closure of ``pairs``; raises unless antisymmetric.
+
+    Kahn's algorithm orders the points topologically; a point it leaves
+    over lies on a cycle or above one.  Up-sets are built in reverse
+    topological order, visiting a point's successors in rising rank and
+    joining ``up[q]`` only when ``q`` is not in the set yet, so on an input
+    that is already closed only the covers are joined.
+    """
     succ = {p: set() for p in points}
     for (a, b) in pairs:
         if a not in succ or b not in succ:
             raise ValueError("order mentions unknown point in %r" % ((a, b),))
         if a != b:
             succ[a].add(b)
-    le = set()
-    for p in points:
-        seen = {p}
-        stack = [p]
-        while stack:
-            for q in succ[stack.pop()]:
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        le.update((p, q) for q in seen)
-    for (a, b) in le:
-        if a != b and (b, a) in le:
-            raise ValueError("order is not antisymmetric on %r, %r" % (a, b))
-    return frozenset(le)
+    topo, indegree = _kahn(succ)
+    if len(topo) < len(succ):
+        raise ValueError("order is not antisymmetric on %r, %r" % _cycle_pair(succ, indegree))
+    rank = {p: i for i, p in enumerate(topo)}
+    up = {}
+    for p in reversed(topo):
+        s = {p}
+        for q in sorted(succ[p], key=rank.__getitem__):
+            if q not in s:
+                s |= up[q]
+        up[p] = s
+    if sum(map(len, up.values())) == sum(map(len, succ.values())) + len(up):
+        # already transitive: keep the given pairs, which derived spaces
+        # share with the space they were cut from
+        return frozenset(pairs).union((p, p) for p in up)
+    return frozenset((p, q) for p, s in up.items() for q in s)
+
+
+def _cycle_pair(succ, indegree):
+    """Two distinct points of one cycle among those Kahn's pass left over.
+
+    Every left-over point has a left-over predecessor, so walking
+    predecessors from any of them runs into a cycle.  Ties are broken by
+    ``repr`` so that the pair named does not depend on hash order.
+    """
+    left = {p for p, n in indegree.items() if n}
+    pred = {q: min((p for p in left if q in succ[p]), key=repr) for q in left}
+    seen = set()
+    p = min(left, key=repr)
+    while p not in seen:
+        seen.add(p)
+        p = pred[p]
+    return pred[p], p
+
+
+class _OrderIndex:
+    """Order queries shared by both kinds of spaces.
+
+    ``le`` is a lookup in the closed pair set.  Principal down- and
+    up-sets come from one index of both directions, built from ``order``
+    in one sweep on the first query.  The index is no dataclass field:
+    equality, hashing and ``dataclasses.replace`` see only the order.
+    """
+
+    def le(self, p, q):
+        return (p, q) in self.order
+
+    def _down_up(self):
+        index = self.__dict__.get("_index")
+        if index is None:
+            down, up = {}, {}
+            for (a, b) in self.order:
+                down.setdefault(b, []).append(a)
+                up.setdefault(a, []).append(b)
+            index = (
+                {p: frozenset(s) for p, s in down.items()},
+                {p: frozenset(s) for p, s in up.items()},
+            )
+            object.__setattr__(self, "_index", index)
+        return index
+
+    def down_closure(self, p):
+        return self._down_up()[0].get(p, frozenset())
+
+    def up_closure(self, p):
+        return self._down_up()[1].get(p, frozenset())
+
+    def _minimal(self, points):
+        covered = {b for (a, b) in self.order if a != b}
+        return frozenset(p for p in points if p not in covered)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +214,7 @@ def specialization_order(space):
 
 
 @dataclass(frozen=True)
-class FinitePriestley:
+class FinitePriestley(_OrderIndex):
     """A finite poset; the Priestley topology on it is discrete.
 
     ``order`` may be given as any relation; it is reflexively and
@@ -151,20 +231,8 @@ class FinitePriestley:
             self, "order", _transitive_closure(points, set(map(tuple, self.order)))
         )
 
-    def le(self, p, q):
-        return (p, q) in self.order
-
-    def down_closure(self, p):
-        return frozenset(q for q in self.points if self.le(q, p))
-
-    def up_closure(self, p):
-        return frozenset(q for q in self.points if self.le(p, q))
-
     def minimal_points(self):
-        return frozenset(
-            p for p in self.points
-            if all(not self.le(q, p) for q in self.points if q != p)
-        )
+        return self._minimal(self.points)
 
     def is_down_set(self, subset):
         return all(q in subset for p in subset for q in self.down_closure(p))
@@ -245,7 +313,7 @@ class AccumulationFamily:
 
 
 @dataclass(frozen=True)
-class FlaggedPriestley:
+class FlaggedPriestley(_OrderIndex):
     """Finitely presented countable Priestley space: points plus families."""
 
     concrete: frozenset
@@ -276,9 +344,6 @@ class FlaggedPriestley:
         object.__setattr__(self, "order", le)
         object.__setattr__(self, "families", fams)
 
-    def le(self, p, q):
-        return (p, q) in self.order
-
     def family(self, fid):
         for f in self.families:
             if f.id == fid:
@@ -288,22 +353,12 @@ class FlaggedPriestley:
     def family_ids(self):
         return tuple(f.id for f in self.families)
 
-    def down_closure(self, p):
-        return frozenset(q for q in self.concrete if self.le(q, p))
-
-    def up_closure(self, p):
-        return frozenset(q for q in self.concrete if self.le(p, q))
-
     def minimal_concrete(self):
         """Concrete points with nothing below them, members included."""
         blocked = set()
         for f in self.families:
             blocked |= f.member_lt
-        return frozenset(
-            p for p in self.concrete
-            if p not in blocked
-            and all(not self.le(q, p) for q in self.concrete if q != p)
-        )
+        return self._minimal(p for p in self.concrete if p not in blocked)
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +383,10 @@ class SymbolicSet:
             if tag not in (FINITE, COFINITE, ALL):
                 raise ValueError("unknown portion tag %r" % (tag,))
         object.__setattr__(self, "portions", cleaned)
+        object.__setattr__(self, "_tags", dict(cleaned))
 
     def portion(self, fid):
-        for f, tag in self.portions:
-            if f == fid:
-                return tag
-        return EMPTY
+        return self._tags.get(fid, EMPTY)
 
     def complement(self, space):
         flip = {EMPTY: ALL, FINITE: COFINITE, COFINITE: FINITE, ALL: EMPTY}
@@ -574,6 +627,12 @@ def clopen_down_sets(space):
     return tuple(out)
 
 
+def _induced_order(order, points):
+    """The pairs of ``order`` between ``points``, sharing the pair objects
+    with ``order`` (a derived space then costs no new tuples)."""
+    return frozenset(ab for ab in order if ab[0] in points and ab[1] in points)
+
+
 def restrict(space, points, family_ids):
     """Flagged subspace on the given points and families.
 
@@ -582,7 +641,7 @@ def restrict(space, points, family_ids):
     """
     pts = frozenset(points)
     ids = set(family_ids)
-    order = frozenset((a, b) for (a, b) in space.order if a in pts and b in pts)
+    order = _induced_order(space.order, pts)
     fams = tuple(
         replace(f, member_lt=f.member_lt & pts, member_gt=f.member_gt & pts)
         for f in space.families

@@ -451,3 +451,103 @@ def test_random_spaces_against_truncation():
         verdicts.add(reference)
         assert flagged_to_json(inverse(inverse(space))) == flagged_to_json(space)
     assert verdicts == {True, False}
+
+
+def fixed_point_heights(space):
+    """Heights by saturating chaotic iteration, the reference for the
+    longest-path pass: every value is raised until nothing changes, and a
+    value that reaches the cap (more than any finite height can be) reads
+    as infinite.  Returns (heights, family heights, inconsistent hint)."""
+    cap = (
+        len(space.concrete)
+        + len(space.families)
+        + sum(f.member_height_hint or 0 for f in space.families)
+        + 1
+    )
+    h = dict.fromkeys(space.concrete, 0)
+    fam = {f.id: 0 for f in space.families}
+    changed = True
+    while changed:
+        changed = False
+        for f in space.families:
+            if f.member_order == DESCENDING:
+                value = cap
+            else:
+                value = max([0, f.member_height_hint or 0] + [h[c] + 1 for c in f.member_gt])
+            if min(value, cap) != fam[f.id]:
+                fam[f.id] = min(value, cap)
+                changed = True
+        for p in space.concrete:
+            value = max(
+                [0]
+                + [h[q] + 1 for q in space.concrete if q != p and (q, p) in space.order]
+                + [fam[f.id] + 1 for f in space.families if p in f.member_lt | {f.limit}]
+            )
+            if min(value, cap) != h[p]:
+                h[p] = min(value, cap)
+                changed = True
+    heights = {p: inf if v >= cap else v for p, v in h.items()}
+    fam_heights = {fid: inf if v >= cap else v for fid, v in fam.items()}
+    inconsistent = any(
+        f.member_height_hint is not None
+        and (
+            f.member_order == DESCENDING
+            or f.member_height_hint < max([0] + [heights[c] + 1 for c in f.member_gt])
+        )
+        for f in space.families
+    )
+    return heights, fam_heights, inconsistent
+
+
+def random_presentation(rng):
+    """A random flagged space whose families may close cycles (a limit at
+    or below a lower bound of the members), or None when the build rejects
+    the draw (an upper bound of the members at or below a lower bound)."""
+    n = rng.randint(1, 9)
+    pts = ["p%d" % i for i in range(n)]
+    order = [(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.25]
+    fams = []
+    for k in range(rng.randint(0, 4)):
+        gt = frozenset(p for p in pts if rng.random() < 0.2)
+        fams.append(
+            AccumulationFamily(
+                id="f%d" % k,
+                limit=rng.choice(pts),
+                member_order=DESCENDING if rng.random() < 0.2 else ANTICHAIN,
+                member_gt=gt,
+                member_lt=frozenset(p for p in pts if p not in gt and rng.random() < 0.2),
+                member_height_hint=None if rng.random() < 0.6 else rng.randint(0, 3),
+            )
+        )
+    try:
+        return FlaggedPriestley(frozenset(pts), order, tuple(fams))
+    except ValueError:
+        return None
+
+
+def test_random_heights_against_fixed_point():
+    rng = random.Random(4040)
+    seen = {"rejected": 0, "inconsistent": 0, "infinite": 0, "cycle": 0, "finite": 0}
+    for _ in range(1500):
+        space = random_presentation(rng)
+        if space is None:
+            seen["rejected"] += 1
+            continue
+        for p in space.concrete:
+            assert space.down_closure(p) == {q for q in space.concrete if space.le(q, p)}
+            assert space.up_closure(p) == {q for q in space.concrete if space.le(p, q)}
+        heights, fam_heights, inconsistent = fixed_point_heights(space)
+        if inconsistent:
+            seen["inconsistent"] += 1
+            with pytest.raises(InconsistentHint):
+                thomason_heights(space)
+            continue
+        ha = thomason_heights(space)
+        assert ha.heights == heights and ha.family_heights == fam_heights
+        if ha.all_finite():
+            seen["finite"] += 1
+        elif all(f.member_order == ANTICHAIN for f in space.families):
+            seen["cycle"] += 1  # infinite through a family cycle alone
+        else:
+            seen["infinite"] += 1
+    assert min(seen.values()) >= 20, seen

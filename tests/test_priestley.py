@@ -1,5 +1,6 @@
 """Finite and flagged Priestley spaces: operations and their invariants."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -319,6 +320,39 @@ def test_json_rejects_unknown_fields():
             '{"points": ["a"], "order": [], "families":'
             ' [{"id": "f", "limit": "a", "color": "red"}]}'
         )
+
+
+def test_order_closure_against_brute_force():
+    rng = random.Random(5150)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        rank = dict(zip(rng.sample(range(n), n), range(n)))  # acyclic draws
+        pairs = [(a, b) for a in range(n) for b in range(n) if rank[a] < rank[b] and rng.random() < 0.3]
+        space = FinitePriestley(frozenset(range(n)), pairs)
+        closed = {(p, p) for p in range(n)} | set(pairs)
+        while True:
+            grow = {(a, d) for (a, b) in closed for (c, d) in closed if b == c} - closed
+            if not grow:
+                break
+            closed |= grow
+        assert space.order == closed
+        assert FinitePriestley(space.points, space.order) == space
+        for p in range(n):
+            assert space.down_closure(p) == {q for q in range(n) if (q, p) in closed}
+            assert space.up_closure(p) == {q for q in range(n) if (p, q) in closed}
+        assert space.minimal_points() == {
+            p for p in range(n) if all((q, p) not in closed for q in range(n) if q != p)
+        }
+
+
+def test_three_cycle_is_rejected_by_both_classes():
+    # d lies below the cycle a < b < c < a and e above it
+    order = [("a", "b"), ("b", "c"), ("c", "a"), ("d", "a"), ("c", "e")]
+    message = r"^order is not antisymmetric on '([abc])', '(?!\1)[abc]'$"
+    with pytest.raises(ValueError, match=message):
+        FinitePriestley(frozenset("abcde"), order)
+    with pytest.raises(ValueError, match=message):
+        FlaggedPriestley(frozenset("abcde"), order, ())
 
 
 def test_validation_errors():
