@@ -39,8 +39,8 @@ from .priestley import (
     FinitePriestley,
     FlaggedPriestley,
     SymbolicSet,
-    _induced_order,
     _kahn,
+    _subspace,
     restrict,
     thomason_points,
     up_closure_symbolic,
@@ -100,13 +100,11 @@ def thomason_derivative(space):
     if isinstance(space, FinitePriestley):
         gone = space.minimal_points()
         keep = space.points - gone
-        return FinitePriestley(keep, _induced_order(space.order, keep))
+        return _subspace(space, keep)
     tp = thomason_points(space)
     keep = space.concrete - tp.concrete
     consumed = {fid for fid, tag in tp.portions}
-    # one build, not restrict() plus a second one for the hints: every
-    # build pays for the transitive closure
-    families = tuple(
+    families = (
         replace(
             f,
             member_lt=f.member_lt & keep,
@@ -117,7 +115,7 @@ def thomason_derivative(space):
         for f in space.families
         if f.id not in consumed
     )
-    return FlaggedPriestley(keep, _induced_order(space.order, keep), families)
+    return _subspace(space, keep, families)
 
 
 def _structural_floor(space, f, heights):

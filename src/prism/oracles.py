@@ -26,7 +26,7 @@ from .liegroups import (
     _hnf_lattices,
     _snapshot_data,
 )
-from .priestley import AccumulationFamily, FinitePriestley, down_sets
+from .priestley import AccumulationFamily, FinitePriestley, FlaggedPriestley, down_sets
 from .spaces import guiding_examples
 
 
@@ -188,7 +188,8 @@ def catalog_spaces():
 
 
 def check_derivative_vs_heights(spaces=None, kmax=3):
-    """k derivative steps remove exactly the material of height below k."""
+    """k derivative steps remove exactly the material of height below k,
+    and each step equals the public constructor's build of its fields."""
     if spaces is None:
         spaces = catalog_spaces()
     cases = 0
@@ -206,6 +207,8 @@ def check_derivative_vs_heights(spaces=None, kmax=3):
             if set(current.family_ids()) != expected_fams:
                 raise OracleMismatch("family survivors differ at step %d" % k)
             current = thomason_derivative(current)
+            if current != FlaggedPriestley(current.concrete, current.order, current.families):
+                raise OracleMismatch("derivative step %d differs from its rebuild" % (k + 1))
             cases += 1
     return cases
 

@@ -96,10 +96,6 @@ def _transitive_closure(points, pairs):
             if q not in s:
                 s |= up[q]
         up[p] = s
-    if sum(map(len, up.values())) == sum(map(len, succ.values())) + len(up):
-        # already transitive: keep the given pairs, which derived spaces
-        # share with the space they were cut from
-        return frozenset(pairs).union((p, p) for p in up)
     return frozenset((p, q) for p, s in up.items() for q in s)
 
 
@@ -633,21 +629,46 @@ def _induced_order(order, points):
     return frozenset(ab for ab in order if ab[0] in points and ab[1] in points)
 
 
+def _subspace(space, points, families=()):
+    """The subspace of ``space`` on the frozenset ``points``, of the same
+    class, equal to what the public constructor builds from its fields.
+
+    The fields are set directly: the order is not closed again and the
+    families are not checked again.  The induced order of a closed partial
+    order is closed, reflexive and antisymmetric, and families cut from
+    validated ones (bounds and limits inside ``points``, in the parent's
+    sorted order) keep sorted, unique ids, limits inside the space and no
+    cycle, so that work could find nothing.
+    """
+    sub = object.__new__(type(space))
+    if isinstance(space, FinitePriestley):
+        object.__setattr__(sub, "points", points)
+    else:
+        object.__setattr__(sub, "concrete", points)
+        object.__setattr__(sub, "families", tuple(families))
+    object.__setattr__(sub, "order", _induced_order(space.order, points))
+    return sub
+
+
 def restrict(space, points, family_ids):
     """Flagged subspace on the given points and families.
 
     Family bounds are intersected with the surviving points; the caller is
-    responsible for the subset being meaningful (e.g. a clopen piece).
+    responsible for the subset being meaningful (e.g. a clopen piece).  The
+    subspace inherits the closed order of ``space`` and is not closed or
+    validated again.  Points outside ``space`` raise ValueError.
     """
     pts = frozenset(points)
+    unknown = pts - space.concrete
+    if unknown:
+        raise ValueError("restrict to unknown point %r" % (min(unknown),))
     ids = set(family_ids)
-    order = _induced_order(space.order, pts)
-    fams = tuple(
+    fams = (
         replace(f, member_lt=f.member_lt & pts, member_gt=f.member_gt & pts)
         for f in space.families
         if f.id in ids and f.limit in pts
     )
-    return FlaggedPriestley(pts, order, fams)
+    return _subspace(space, pts, fams)
 
 
 def instantiate(space, depth):

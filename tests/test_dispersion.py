@@ -29,6 +29,7 @@ from prism import (
     is_generically_noetherian,
     is_noetherian,
     rank_candidate,
+    restrict,
     strata,
     thomason_derivative,
     thomason_heights,
@@ -551,3 +552,44 @@ def test_random_heights_against_fixed_point():
         else:
             seen["infinite"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def assert_equals_rebuild(sub):
+    """A derived space equals the public constructor's build of its fields,
+    and both answer the principal closures alike."""
+    if isinstance(sub, FinitePriestley):
+        built, points = FinitePriestley(sub.points, sub.order), sub.points
+    else:
+        built, points = FlaggedPriestley(sub.concrete, sub.order, sub.families), sub.concrete
+    assert sub == built
+    for p in points:
+        assert sub.down_closure(p) == built.down_closure(p)
+        assert sub.up_closure(p) == built.up_closure(p)
+
+
+def test_derived_spaces_equal_their_rebuild():
+    rng = random.Random(5151)
+    dropped_limits = 0
+    for _ in range(300):
+        space = random_presentation(rng)
+        if space is None:
+            continue
+        n = rng.randint(1, 9)
+        pts = list(range(n))
+        poset = FinitePriestley(
+            frozenset(pts),
+            [(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3],
+        )
+        for current in (space, poset):
+            for _ in range(3):
+                current = thomason_derivative(current)
+                assert_equals_rebuild(current)
+        for p in space.concrete:
+            assert_equals_rebuild(gen_closure(space, p))
+        seeds = [p for p in space.concrete if rng.random() < 0.4]
+        down = frozenset().union(*(space.down_closure(p) for p in seeds))
+        sub = restrict(space, down, space.family_ids())
+        assert_equals_rebuild(sub)
+        # families whose limit fell outside the down-set must be dropped
+        dropped_limits += len(space.families) - len(sub.families)
+    assert dropped_limits >= 50

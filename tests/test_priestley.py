@@ -25,6 +25,7 @@ from prism import (
     inverse,
     is_noetherian,
     priestley_of_spectral,
+    restrict,
     specialization_order,
     spectral_of_priestley,
     thomason_points,
@@ -353,6 +354,13 @@ def test_three_cycle_is_rejected_by_both_classes():
         FinitePriestley(frozenset("abcde"), order)
     with pytest.raises(ValueError, match=message):
         FlaggedPriestley(frozenset("abcde"), order, ())
+
+
+def test_restrict_rejects_unknown_points():
+    space = convergent_sequence_space("limit-above")  # points 0..3 and inf
+    with pytest.raises(ValueError, match=r"^restrict to unknown point 'a'$"):
+        restrict(space, {"inf", "b", "a"}, ["tail"])
+    assert restrict(space, {"0", "inf"}, ["tail"]).le("0", "0")
 
 
 def test_validation_errors():
