@@ -11,14 +11,15 @@ the least solution of
                                                for antichain families,
 
 which is a longest path in the graph on the concrete points and the
-family ids with edges q -> p for q < p, c -> f for c in member_gt(f), and
-f -> limit(f), f -> member_lt(f).  One pass of Kahn's algorithm computes
-it.  A node the pass leaves over lies on a cycle through some family
-(one whose limit sits at or below a lower bound of its members) or above
-one, and its height is infinite, as is every height above a descending
-chain.  A member height hint is the family's starting value, so it acts
-as a floor; a hint strictly below the structurally forced value is
-rejected as inconsistent.
+family ids with edges q -> p for each cover q < p, c -> f for c in
+member_gt(f), and f -> limit(f), f -> member_lt(f).  The covers suffice:
+every strict pair is a chain of covers, at least as long.  One pass of
+Kahn's algorithm computes it.  A node the pass leaves over lies on a
+cycle through some family (one whose limit sits at or below a lower bound
+of its members) or above one, and its height is infinite, as is every
+height above a descending chain.  A member height hint is the family's
+starting value, so it acts as a floor; a hint strictly below the
+structurally forced value is rejected as inconsistent.
 
 The derivative mirrors the same bookkeeping step by step so that k
 applications remove exactly the material of height < k: a family whose
@@ -39,6 +40,7 @@ from .priestley import (
     FinitePriestley,
     FlaggedPriestley,
     SymbolicSet,
+    _assemble,
     _kahn,
     _subspace,
     restrict,
@@ -85,7 +87,7 @@ class DispersionCandidate:
 
 def _as_flagged(space):
     if isinstance(space, FinitePriestley):
-        return FlaggedPriestley(space.points, space.order, ())
+        return _assemble(FlaggedPriestley, space.points, space.covers)
     return space
 
 
@@ -135,9 +137,8 @@ def thomason_heights(space):
         succ[f.id] = list(f.member_lt | {f.limit})
         for c in f.member_gt:
             succ[c].append(f.id)
-    for (a, b) in space.order:
-        if a != b:
-            succ[a].append(b)
+    for (a, b) in space.covers:
+        succ[a].append(b)
     topo, left = _kahn(succ)
     for n in topo:
         step = value[n] + 1
@@ -202,7 +203,10 @@ def is_dispersion(space, candidate):
     included.  Axiom two is checked on the flagged surrogate: the limit of
     every family must sit strictly above the common member value (the
     members witness accumulation inside every closed set containing a
-    tail).  The witness names the first violated comparison.
+    tail).  The witness names the first violated comparison; an order
+    witness is the least violating pair.  Strict monotonicity on the
+    covers gives it on every pair, so all pairs are scanned only for the
+    witness of a failing check.
     """
     values = candidate.values
     for p in space.concrete:
@@ -212,10 +216,10 @@ def is_dispersion(space, candidate):
         if f.id not in values:
             raise ValueError("candidate is not total: missing family %r" % (f.id,))
     for name, v in values.items():
-        if not isinstance(v, int) or v < 0:
+        if type(v) is not int or v < 0:
             raise ValueError("candidate value for %r is not a natural" % (name,))
-    broken = [(p, q) for (p, q) in space.order if p != q and not values[p] < values[q]]
-    if broken:
+    if any(not values[p] < values[q] for (p, q) in space.covers):
+        broken = [(p, q) for (p, q) in space.order if p != q and not values[p] < values[q]]
         return False, ("order",) + min(broken)
     for f in space.families:
         for c in sorted(f.member_lt):
@@ -269,9 +273,8 @@ def strata(space, candidate, level):
     # the slice must be isolated and minimal inside the upper part
     hi_pts = hi.concrete
     for p in sorted(at.concrete):
-        for q in hi_pts:
-            if q != p and space.le(q, p):
-                raise ChecksFailed("%s is not minimal in P_>=%d" % (p, level))
+        if space.down_closure(p) & hi_pts != {p}:
+            raise ChecksFailed("%s is not minimal in P_>=%d" % (p, level))
         for f in space.families:
             if hi.portion(f.id) != EMPTY and p in f.member_lt:
                 raise ChecksFailed("%s is not minimal in P_>=%d" % (p, level))

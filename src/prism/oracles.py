@@ -189,7 +189,9 @@ def catalog_spaces():
 
 def check_derivative_vs_heights(spaces=None, kmax=3):
     """k derivative steps remove exactly the material of height below k,
-    and each step equals the public constructor's build of its fields."""
+    and each step has the covers, and equals, the public constructor's
+    build of its points, its families and the order the original space
+    induces on its points."""
     if spaces is None:
         spaces = catalog_spaces()
     cases = 0
@@ -207,7 +209,12 @@ def check_derivative_vs_heights(spaces=None, kmax=3):
             if set(current.family_ids()) != expected_fams:
                 raise OracleMismatch("family survivors differ at step %d" % k)
             current = thomason_derivative(current)
-            if current != FlaggedPriestley(current.concrete, current.order, current.families):
+            pts = current.concrete
+            induced = [(a, b) for (a, b) in space.order if a in pts and b in pts]
+            rebuild = FlaggedPriestley(pts, induced, current.families)
+            if current.covers != rebuild.covers:
+                raise OracleMismatch("derivative step %d has other covers than its rebuild" % (k + 1))
+            if current != rebuild:
                 raise OracleMismatch("derivative step %d differs from its rebuild" % (k + 1))
             cases += 1
     return cases

@@ -26,6 +26,11 @@ depend only on this granularity.  A symbolic set is closed exactly when
 any family with infinitely many members inside has its limit inside; this
 finite rule is the decidable surrogate for closure in the modelled space.
 
+Both kinds store their order as its cover relation (the Hasse diagram,
+``covers``): a finite partial order is fixed by its covers, so equality
+and hashing compare them.  The closed pair set ``order``, and the
+principal down- and up-sets, are built from the covers on first read.
+
 For families with ``member_order == "descendingChain"`` the members form a
 strictly descending chain (samples are listed top down).  Portions then
 read as: ``finite`` is a prefix (an up-closed piece), ``cofinite`` a tail.
@@ -34,7 +39,7 @@ the tag and swaps the bounds, so chain families are fully faithful only in
 their declared orientation.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 import json
 
@@ -71,13 +76,16 @@ def _kahn(succ):
 
 
 def _transitive_closure(points, pairs):
-    """Reflexive-transitive closure of ``pairs``; raises unless antisymmetric.
+    """The covers of the reflexive-transitive closure of ``pairs`` and its
+    up-sets (point -> set); raises unless the closure is antisymmetric.
 
     Kahn's algorithm orders the points topologically; a point it leaves
     over lies on a cycle or above one.  Up-sets are built in reverse
     topological order, visiting a point's successors in rising rank and
-    joining ``up[q]`` only when ``q`` is not in the set yet, so on an input
-    that is already closed only the covers are joined.
+    joining ``up[q]`` only when ``q`` is not in the set yet.  A successor
+    joined that way is reached through no other, so it is a cover, and
+    every cover is a successor (the transitive reduction of Aho, Garey and
+    Ullman, 1972).
     """
     succ = {p: set() for p in points}
     for (a, b) in pairs:
@@ -90,13 +98,15 @@ def _transitive_closure(points, pairs):
         raise ValueError("order is not antisymmetric on %r, %r" % _cycle_pair(succ, indegree))
     rank = {p: i for i, p in enumerate(topo)}
     up = {}
+    covers = []
     for p in reversed(topo):
         s = {p}
         for q in sorted(succ[p], key=rank.__getitem__):
             if q not in s:
                 s |= up[q]
+                covers.append((p, q))
         up[p] = s
-    return frozenset((p, q) for p, s in up.items() for q in s)
+    return frozenset(covers), up
 
 
 def _cycle_pair(succ, indegree):
@@ -117,30 +127,49 @@ def _cycle_pair(succ, indegree):
 
 
 class _OrderIndex:
-    """Order queries shared by both kinds of spaces.
+    """Order queries shared by both kinds of spaces, read off ``covers``.
 
-    ``le`` is a lookup in the closed pair set.  Principal down- and
-    up-sets come from one index of both directions, built from ``order``
-    in one sweep on the first query.  The index is no dataclass field:
-    equality, hashing and ``dataclasses.replace`` see only the order.
+    ``covers`` is the stored order.  The closed pair set ``order`` is no
+    stored field value: the constructor drops it from the instance and
+    ``__getattr__`` closes it again from the principal up-sets on first
+    read.  Principal down- and up-sets come from one index of both
+    directions, and cover lists per lower point from another; both are
+    built from the covers on first use and are no dataclass fields, so
+    equality, hashing and ``dataclasses.replace`` see only the fields.
     """
 
+    def __getattr__(self, name):
+        if name != "order":
+            raise AttributeError(name)
+        order = frozenset((p, q) for p, s in self._down_up()[1].items() for q in s)
+        object.__setattr__(self, "order", order)
+        return order
+
     def le(self, p, q):
-        return (p, q) in self.order
+        return q in self.up_closure(p)
 
     def _down_up(self):
         index = self.__dict__.get("_index")
         if index is None:
-            down, up = {}, {}
-            for (a, b) in self.order:
-                down.setdefault(b, []).append(a)
-                up.setdefault(a, []).append(b)
+            points = self._carrier
+            down = _transitive_closure(points, [(b, a) for (a, b) in self.covers])[1]
+            up = _transitive_closure(points, self.covers)[1]
             index = (
                 {p: frozenset(s) for p, s in down.items()},
                 {p: frozenset(s) for p, s in up.items()},
             )
             object.__setattr__(self, "_index", index)
         return index
+
+    def _covers_above(self):
+        """Lower point -> the cover pairs leaving it."""
+        above = self.__dict__.get("_above")
+        if above is None:
+            above = {}
+            for ab in self.covers:
+                above.setdefault(ab[0], []).append(ab)
+            object.__setattr__(self, "_above", above)
+        return above
 
     def down_closure(self, p):
         return self._down_up()[0].get(p, frozenset())
@@ -149,7 +178,7 @@ class _OrderIndex:
         return self._down_up()[1].get(p, frozenset())
 
     def _minimal(self, points):
-        covered = {b for (a, b) in self.order if a != b}
+        covered = {b for (a, b) in self.covers}
         return frozenset(p for p in points if p not in covered)
 
 
@@ -213,19 +242,25 @@ def specialization_order(space):
 class FinitePriestley(_OrderIndex):
     """A finite poset; the Priestley topology on it is discrete.
 
-    ``order`` may be given as any relation; it is reflexively and
-    transitively closed on construction and checked for antisymmetry.
+    ``order`` may be given as any relation; on construction it is checked
+    for antisymmetry and reduced to its covers, and its reflexive-transitive
+    closure is built again on first read of ``order``.
     """
 
     points: frozenset
-    order: frozenset
+    order: frozenset = field(compare=False)
+    covers: frozenset = field(init=False, repr=False)
 
     def __post_init__(self):
         points = frozenset(self.points)
         object.__setattr__(self, "points", points)
-        object.__setattr__(
-            self, "order", _transitive_closure(points, set(map(tuple, self.order)))
-        )
+        covers = _transitive_closure(points, set(map(tuple, self.order)))[0]
+        object.__setattr__(self, "covers", covers)
+        object.__delattr__(self, "order")
+
+    @property
+    def _carrier(self):
+        return self.points
 
     def minimal_points(self):
         return self._minimal(self.points)
@@ -313,12 +348,13 @@ class FlaggedPriestley(_OrderIndex):
     """Finitely presented countable Priestley space: points plus families."""
 
     concrete: frozenset
-    order: frozenset
+    order: frozenset = field(compare=False)
     families: tuple = ()
+    covers: frozenset = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = frozenset(self.concrete)
-        le = _transitive_closure(pts, set(map(tuple, self.order)))
+        covers, up = _transitive_closure(pts, set(map(tuple, self.order)))
         fams = tuple(sorted(self.families, key=lambda f: f.id))
         ids = [f.id for f in fams]
         if len(set(ids)) != len(ids):
@@ -332,13 +368,18 @@ class FlaggedPriestley(_OrderIndex):
                 raise ValueError("family %s bounds mention unknown points" % f.id)
             for g in f.member_gt:
                 for l in f.member_lt:
-                    if (l, g) in le:
+                    if g in up[l]:
                         raise ValueError(
                             "family %s would create a cycle: %r <= %r" % (f.id, l, g)
                         )
         object.__setattr__(self, "concrete", pts)
-        object.__setattr__(self, "order", le)
+        object.__setattr__(self, "covers", covers)
         object.__setattr__(self, "families", fams)
+        object.__delattr__(self, "order")
+
+    @property
+    def _carrier(self):
+        return self.concrete
 
     def family(self, fid):
         for f in self.families:
@@ -478,7 +519,7 @@ def up_closure_symbolic(space, p):
 
 def inverse(space):
     """Order reversal; an involution on both kinds of spaces."""
-    order = frozenset((b, a) for (a, b) in space.order)
+    order = frozenset((b, a) for (a, b) in space.covers)
     if isinstance(space, FinitePriestley):
         return replace(space, order=order)
     families = tuple(
@@ -623,31 +664,63 @@ def clopen_down_sets(space):
     return tuple(out)
 
 
-def _induced_order(order, points):
-    """The pairs of ``order`` between ``points``, sharing the pair objects
-    with ``order`` (a derived space then costs no new tuples)."""
-    return frozenset(ab for ab in order if ab[0] in points and ab[1] in points)
+def _assemble(cls, points, covers, families=()):
+    """A space of class ``cls`` with its fields set directly, for spaces
+    made from an already-built one: the covers are not closed and the
+    families not checked again."""
+    space = object.__new__(cls)
+    if cls is FinitePriestley:
+        object.__setattr__(space, "points", points)
+    else:
+        object.__setattr__(space, "concrete", points)
+        object.__setattr__(space, "families", tuple(families))
+    object.__setattr__(space, "covers", covers)
+    return space
 
 
 def _subspace(space, points, families=()):
     """The subspace of ``space`` on the frozenset ``points``, of the same
     class, equal to what the public constructor builds from its fields.
 
-    The fields are set directly: the order is not closed again and the
-    families are not checked again.  The induced order of a closed partial
-    order is closed, reflexive and antisymmetric, and families cut from
-    validated ones (bounds and limits inside ``points``, in the parent's
-    sorted order) keep sorted, unique ids, limits inside the space and no
-    cycle, so that work could find nothing.
+    On an order-convex subset (every point between two of its points is
+    in it) the covers are the parent's covers between its points, and the
+    pair objects are shared.  Walking the covers up from ``points`` decides
+    convexity: the subset is convex unless a point reached outside it has
+    a cover back into it.  Every subset the library cuts is convex (an
+    up-set, or a union of order components); another one has its induced
+    order reduced afresh.  Families cut from validated ones (bounds and
+    limits inside ``points``, in the parent's sorted order) keep sorted,
+    unique ids, limits inside the space and no cycle, so they are not
+    checked again.
     """
-    sub = object.__new__(type(space))
-    if isinstance(space, FinitePriestley):
-        object.__setattr__(sub, "points", points)
-    else:
-        object.__setattr__(sub, "concrete", points)
-        object.__setattr__(sub, "families", tuple(families))
-    object.__setattr__(sub, "order", _induced_order(space.order, points))
-    return sub
+    above = space._covers_above()
+    covers = []
+    outside = set()
+    for a in points:
+        for ab in above.get(a, ()):
+            if ab[1] in points:
+                covers.append(ab)
+            else:
+                outside.add(ab[1])
+    if _reenters(above, points, outside):
+        up = space.up_closure
+        induced = [(a, b) for a in points for b in up(a) & points]
+        covers = _transitive_closure(points, induced)[0]
+    return _assemble(type(space), points, frozenset(covers), families)
+
+
+def _reenters(above, points, outside):
+    """Whether a walk up the covers from the set ``outside`` of points
+    outside ``points`` comes back into ``points``."""
+    stack = list(outside)
+    while stack:
+        for (_, b) in above.get(stack.pop(), ()):
+            if b in points:
+                return True
+            if b not in outside:
+                outside.add(b)
+                stack.append(b)
+    return False
 
 
 def restrict(space, points, family_ids):
@@ -655,8 +728,9 @@ def restrict(space, points, family_ids):
 
     Family bounds are intersected with the surviving points; the caller is
     responsible for the subset being meaningful (e.g. a clopen piece).  The
-    subspace inherits the closed order of ``space`` and is not closed or
-    validated again.  Points outside ``space`` raise ValueError.
+    subspace carries the covers of its induced order, cut from the covers
+    of ``space`` when the subset is order-convex, and is not validated
+    again.  Points outside ``space`` raise ValueError.
     """
     pts = frozenset(points)
     unknown = pts - space.concrete
@@ -679,7 +753,7 @@ def instantiate(space, depth):
     index order.  Used by the oracle tests.
     """
     points = set(space.concrete)
-    order = set(space.order)
+    order = set(space.covers)
     for f in space.families:
         names = ["%s#%d" % (f.id, i) for i in range(depth)]
         points.update(names)

@@ -122,6 +122,9 @@ def test_candidate_values_must_be_naturals():
     with pytest.raises(ValueError):
         is_dispersion(circ, DispersionCandidate(
             {"C(1)": -1, "C(2)": 0, "C(3)": 0, "G": 1, "cyclic": 0}))
+    chain = FlaggedPriestley(frozenset("ab"), [("a", "b")], ())
+    with pytest.raises(ValueError, match="not a natural"):
+        is_dispersion(chain, DispersionCandidate({"a": False, "b": True}))
 
 
 def test_hint_raises_member_height():
@@ -554,13 +557,16 @@ def test_random_heights_against_fixed_point():
     assert min(seen.values()) >= 20, seen
 
 
-def assert_equals_rebuild(sub):
-    """A derived space equals the public constructor's build of its fields,
-    and both answer the principal closures alike."""
+def assert_equals_rebuild(sub, order):
+    """A derived space equals the public constructor's build of its points,
+    its families and the order ``order`` of its parent induces on its
+    points, and both answer the principal closures alike."""
+    points = sub.points if isinstance(sub, FinitePriestley) else sub.concrete
+    induced = [(a, b) for (a, b) in order if a in points and b in points]
     if isinstance(sub, FinitePriestley):
-        built, points = FinitePriestley(sub.points, sub.order), sub.points
+        built = FinitePriestley(points, induced)
     else:
-        built, points = FlaggedPriestley(sub.concrete, sub.order, sub.families), sub.concrete
+        built = FlaggedPriestley(points, induced, sub.families)
     assert sub == built
     for p in points:
         assert sub.down_closure(p) == built.down_closure(p)
@@ -581,15 +587,143 @@ def test_derived_spaces_equal_their_rebuild():
             [(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3],
         )
         for current in (space, poset):
+            order = current.order
             for _ in range(3):
                 current = thomason_derivative(current)
-                assert_equals_rebuild(current)
+                assert_equals_rebuild(current, order)
         for p in space.concrete:
-            assert_equals_rebuild(gen_closure(space, p))
+            assert_equals_rebuild(gen_closure(space, p), space.order)
         seeds = [p for p in space.concrete if rng.random() < 0.4]
         down = frozenset().union(*(space.down_closure(p) for p in seeds))
         sub = restrict(space, down, space.family_ids())
-        assert_equals_rebuild(sub)
+        assert_equals_rebuild(sub, space.order)
         # families whose limit fell outside the down-set must be dropped
         dropped_limits += len(space.families) - len(sub.families)
     assert dropped_limits >= 50
+
+
+# ---------------------------------------------------------------------------
+# covers against a brute-force transitive reduction
+
+
+def naive_closure(points, pairs):
+    closed = {(p, p) for p in points} | set(pairs)
+    while True:
+        grow = {(a, d) for (a, b) in closed for (c, d) in closed if b == c} - closed
+        if not grow:
+            return closed
+        closed |= grow
+
+
+def naive_covers(closed, points):
+    """The transitive reduction of the closed order ``closed`` restricted
+    to ``points``: strict pairs with no point of ``points`` between."""
+    return {
+        (a, b)
+        for (a, b) in closed
+        if a != b and a in points and b in points
+        and not any((a, c) in closed and (c, b) in closed for c in points if c not in (a, b))
+    }
+
+
+def assert_covers(space, closed):
+    points = space.points if isinstance(space, FinitePriestley) else space.concrete
+    assert space.covers == naive_covers(closed, points)
+    assert space.order == {(a, b) for (a, b) in closed if a in points and b in points}
+    assert_equals_rebuild(space, closed)
+
+
+def test_covers_against_brute_force_reduction():
+    rng = random.Random(6262)
+    non_convex = 0
+    for _ in range(300):
+        space = random_presentation(rng)
+        if space is None:
+            continue
+        n = rng.randint(1, 9)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        poset = FinitePriestley(frozenset(range(n)), pairs)
+        closed_space = naive_closure(space.concrete, space.order)
+        closed_poset = naive_closure(poset.points, pairs)
+        assert_covers(poset, closed_poset)
+        for current, closed in ((space, closed_space), (poset, closed_poset)):
+            for _ in range(3):
+                current = thomason_derivative(current)
+                assert_covers(current, closed)
+        for p in space.concrete:
+            assert_covers(gen_closure(space, p), closed_space)
+        seeds = [p for p in sorted(space.concrete) if rng.random() < 0.4]
+        down = frozenset().union(*(space.down_closure(p) for p in seeds))
+        assert_covers(restrict(space, down, space.family_ids()), closed_space)
+        for _ in range(3):
+            subset = frozenset(p for p in sorted(space.concrete) if rng.random() < 0.5)
+            non_convex += any(
+                (a, c) in closed_space and (c, b) in closed_space
+                for a in subset for b in subset for c in space.concrete - subset
+            )
+            assert_covers(restrict(space, subset, space.family_ids()), closed_space)
+    assert non_convex >= 40
+    chain = FlaggedPriestley(frozenset("abc"), [("a", "b"), ("b", "c")], ())
+    assert restrict(chain, {"a", "c"}, []).covers == {("a", "c")}
+
+
+# ---------------------------------------------------------------------------
+# dispersion witnesses against a full pair scan
+
+
+def reference_dispersion(space, closed, values):
+    """is_dispersion by a scan of every strict pair of ``closed``."""
+    broken = [(p, q) for (p, q) in closed if p != q and not values[p] < values[q]]
+    if broken:
+        return False, ("order",) + min(broken)
+    for f in space.families:
+        for c in sorted(f.member_lt):
+            if not values[f.id] < values[c]:
+                return False, ("family-order", f.id, c)
+        for c in sorted(f.member_gt):
+            if not values[c] < values[f.id]:
+                return False, ("family-order", c, f.id)
+    for f in space.families:
+        if not values[f.id] < values[f.limit]:
+            return False, ("family-limit", f.id, f.limit)
+    return True, None
+
+
+def test_dispersion_witness_against_full_scan():
+    rng = random.Random(7373)
+    seen = {"pass": 0, "order": 0, "family-order": 0, "family-limit": 0}
+    for _ in range(400):
+        space = random_presentation(rng)
+        if space is None:
+            continue
+        try:
+            heights = thomason_heights(space)
+        except InconsistentHint:
+            continue
+        closed = naive_closure(space.concrete, space.order)
+        names = sorted(space.concrete) + list(space.family_ids())
+        top = len(names) + sum(f.member_height_hint or 0 for f in space.families) + 1
+        base = {**heights.heights, **heights.family_heights}
+        base = {k: top if v == inf else v for k, v in base.items()}
+        candidates = [base, {k: rng.randint(0, 3) for k in names}]
+        for _ in range(3):
+            nudged = dict(base)
+            nudged[rng.choice(names)] = rng.randint(0, top)
+            candidates.append(nudged)
+        for values in candidates:
+            candidate = DispersionCandidate(values)
+            expected = reference_dispersion(space, closed, values)
+            assert is_dispersion(space, candidate) == expected
+            seen["pass" if expected[0] else expected[1][0]] += 1
+            for level in sorted(set(values.values()))[:3]:
+                if expected[0]:
+                    try:
+                        strata(space, candidate, level)
+                    except ChecksFailed as err:
+                        assert "not a dispersion" not in str(err)
+                else:
+                    message = "candidate is not a dispersion: %r" % (expected[1],)
+                    with pytest.raises(ChecksFailed) as err:
+                        strata(space, candidate, level)
+                    assert str(err.value) == message
+    assert min(seen.values()) >= 30, seen
