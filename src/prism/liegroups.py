@@ -25,11 +25,21 @@ component of its centre, and the height is the number of simple summands
 of that action.  In dimension <= 3 the count is exact by an invariant
 line argument: one-dimensional summands are cut out by sign characters
 of the generators, and whatever is left is a single simple piece.
+
+Each group's part of the model lives on its class.  The private base
+``_Group`` gives the defaults: no strict cotoral pairs, height 0, trivial
+Weyl data, dimension 0, rank equal to dimension, a finite Phi and one
+Burnside class.  The circle, O(2) and SO(3) read their answers off two
+class tables (see ``_OneDim``).  The public functions below validate the
+key with ``canonical_key`` and make one method call.  Adding a group
+takes one subclass of ``_Group`` that defines ``_canonical`` (which keys
+belong to it, after fusion) and ``_snapshot``, and overrides whichever
+defaults do not hold for it.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import inf
 import json
 import re
@@ -46,107 +56,6 @@ from .priestley import (
 
 
 # ---------------------------------------------------------------------------
-# groups
-
-
-@dataclass(frozen=True)
-class FiniteClass:
-    """One conjugacy class of subgroups of a finite group."""
-
-    id: str
-    weyl_order: int
-    weyl_name: str = ""
-
-    def component_name(self):
-        return self.weyl_name or ("1" if self.weyl_order == 1 else "W%d" % self.weyl_order)
-
-
-@dataclass(frozen=True)
-class FiniteGroup:
-    classes: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
-        ids = [c.id for c in self.classes]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate class ids")
-
-
-@dataclass(frozen=True)
-class Circle:
-    pass
-
-
-@dataclass(frozen=True)
-class Torus:
-    rank: int
-
-    def __post_init__(self):
-        if not 1 <= self.rank <= 3:
-            raise ValueError("torus rank must be between 1 and 3")
-
-
-@dataclass(frozen=True)
-class O2:
-    pass
-
-
-@dataclass(frozen=True)
-class SO3:
-    pass
-
-
-@dataclass(frozen=True)
-class ToralSemidirect:
-    """A rank-r torus extended by a finite group of integer matrices."""
-
-    rank: int
-    generators: tuple
-    relations: tuple = ()
-
-    def __post_init__(self):
-        gens = tuple(la.mat(g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "relations", tuple(tuple(w) for w in self.relations))
-        if not 1 <= self.rank <= 3:
-            raise ValueError("rank must be between 1 and 3")
-        for g in gens:
-            if len(g) != self.rank or any(len(r) != self.rank for r in g):
-                raise ValueError("generator of wrong shape")
-            if la.det(g) not in (1, -1):
-                raise ValueError("generator is not invertible over the integers")
-            if la.matrix_order(g) is None:
-                raise ValueError("generator does not have finite order (checked to 12)")
-        for word in self.relations:
-            if not all(0 <= i < len(gens) for i in word):
-                raise ValueError("relation %r names an unknown generator" % (word,))
-            m = la.identity(self.rank)
-            for i in word:
-                m = la.mat_mul(m, gens[i])
-            if m != la.identity(self.rank):
-                raise ValueError("relation %r does not hold" % (word,))
-
-
-# the normalizer of a maximal torus in SU(3): the Weyl group S3 acting on
-# the A2 lattice through its two simple reflections
-NSU3T = ToralSemidirect(
-    2,
-    (((-1, 1), (0, 1)), ((1, 0), (1, -1))),
-    ((0, 0), (1, 1), (0, 1, 0, 1, 0, 1)),
-)
-
-
-def group_rank(group):
-    if isinstance(group, (Circle, O2, SO3)):
-        return 1
-    if isinstance(group, Torus):
-        return group.rank
-    if isinstance(group, ToralSemidirect):
-        return group.rank
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # subgroup keys
 
 
@@ -158,6 +67,10 @@ class Cyc:
         if self.n < 1:
             raise ValueError("cyclic order must be positive")
 
+    @property
+    def name(self):
+        return "C(%d)" % self.n
+
 
 @dataclass(frozen=True)
 class Dih:
@@ -167,40 +80,28 @@ class Dih:
         if self.n < 1:
             raise ValueError("dihedral parameter must be positive")
 
-
-@dataclass(frozen=True)
-class SO2Key:
-    pass
-
-
-@dataclass(frozen=True)
-class O2Key:
-    pass
+    @property
+    def name(self):
+        return "D(%d)" % (2 * self.n)
 
 
 @dataclass(frozen=True)
-class FullKey:
-    pass
+class _UnitKey:
+    """A key without parameters; each subclass names one subgroup class."""
+
+    name = ""
 
 
-@dataclass(frozen=True)
-class A4Key:
-    pass
+class SO2Key(_UnitKey): name = "SO2"
+class O2Key(_UnitKey): name = "O2"
+class FullKey(_UnitKey): name = "G"
+class A4Key(_UnitKey): name = "A4"
+class S4Key(_UnitKey): name = "S4"
+class A5Key(_UnitKey): name = "A5"
+class KleinKey(_UnitKey): name = "V4"
 
 
-@dataclass(frozen=True)
-class S4Key:
-    pass
-
-
-@dataclass(frozen=True)
-class A5Key:
-    pass
-
-
-@dataclass(frozen=True)
-class KleinKey:
-    pass
+_UNIT_KEYS = {cls.name: cls() for cls in _UnitKey.__subclasses__()}
 
 
 @dataclass(frozen=True)
@@ -221,148 +122,16 @@ class DualLattice:
         """Dimension of the annihilated subgroup."""
         return self.rank - len(self.rows)
 
+    @property
+    def name(self):
+        if not self.rows:
+            return "G"
+        return "L[%s]" % "; ".join(" ".join(str(x) for x in row) for row in self.rows)
+
 
 @dataclass(frozen=True)
 class FiniteIdx:
     index: int
-
-
-_SO3_EXCEPTIONAL = {
-    A4Key(): ("A4", 2, "C2"),
-    S4Key(): ("S4", 1, "1"),
-    A5Key(): ("A5", 1, "1"),
-    KleinKey(): ("V4", 6, "S3"),
-}
-
-
-def canonical_key(group, key):
-    """Validate a key against its group and apply the fusion rules."""
-    if isinstance(group, Circle):
-        if isinstance(key, (Cyc, FullKey)):
-            return key
-    elif isinstance(group, Torus):
-        if isinstance(key, DualLattice) and key.rank == group.rank:
-            return key
-        if isinstance(key, FullKey):
-            return DualLattice(group.rank, ())
-    elif isinstance(group, O2):
-        if isinstance(key, (Cyc, Dih, SO2Key, FullKey)):
-            return key
-    elif isinstance(group, SO3):
-        if isinstance(key, Dih):
-            if key.n == 1:
-                return Cyc(2)  # reflections fuse with rotations of order 2
-            if key.n == 2:
-                return KleinKey()
-            return key
-        if isinstance(key, (Cyc, SO2Key, O2Key, A4Key, S4Key, A5Key, KleinKey, FullKey)):
-            return key
-    elif isinstance(group, FiniteGroup):
-        if isinstance(key, FiniteIdx) and 0 <= key.index < len(group.classes):
-            return key
-    elif isinstance(group, ToralSemidirect):
-        if isinstance(key, FullKey):
-            return key
-        raise KeyMismatch(
-            "subgroup keys beyond the full group are not enumerated for "
-            "toral semidirect products"
-        )
-    raise KeyMismatch("key %r does not belong to %r" % (key, group))
-
-
-def key_name(group, key):
-    key = canonical_key(group, key)
-    if isinstance(key, Cyc):
-        return "C(%d)" % key.n
-    if isinstance(key, Dih):
-        return "D(%d)" % (2 * key.n)
-    if isinstance(key, SO2Key):
-        return "SO2"
-    if isinstance(key, O2Key):
-        return "O2"
-    if isinstance(key, FullKey):
-        return "G"
-    if isinstance(key, A4Key):
-        return "A4"
-    if isinstance(key, S4Key):
-        return "S4"
-    if isinstance(key, A5Key):
-        return "A5"
-    if isinstance(key, KleinKey):
-        return "V4"
-    if isinstance(key, DualLattice):
-        if not key.rows:
-            return "G"
-        return "L[%s]" % "; ".join(" ".join(str(x) for x in row) for row in key.rows)
-    if isinstance(key, FiniteIdx):
-        return group.classes[key.index].id
-    raise KeyMismatch("unprintable key %r" % (key,))
-
-
-def parse_key(group, name):
-    """Inverse of key_name on the group's key vocabulary."""
-    m = re.fullmatch(r"C\((\d+)\)", name)
-    if m:
-        return canonical_key(group, Cyc(int(m.group(1))))
-    m = re.fullmatch(r"D\((\d+)\)", name)
-    if m:
-        order = int(m.group(1))
-        if order % 2:
-            raise KeyMismatch("dihedral groups have even order: %r" % name)
-        return canonical_key(group, Dih(order // 2))
-    if name == "G":
-        return canonical_key(group, FullKey())
-    fixed = {"SO2": SO2Key(), "O2": O2Key(), "A4": A4Key(), "S4": S4Key(),
-             "A5": A5Key(), "V4": KleinKey()}
-    if name in fixed:
-        return canonical_key(group, fixed[name])
-    m = re.fullmatch(r"L\[(.*)\]", name)
-    if m:
-        body = m.group(1).strip()
-        rows = ()
-        if body:
-            rows = tuple(
-                tuple(int(x) for x in part.split()) for part in body.split(";")
-            )
-        return canonical_key(group, DualLattice(group_rank(group), rows))
-    if isinstance(group, FiniteGroup):
-        for i, cls in enumerate(group.classes):
-            if cls.id == name:
-                return FiniteIdx(i)
-    raise KeyMismatch("cannot parse key %r" % (name,))
-
-
-# ---------------------------------------------------------------------------
-# cotoral order
-
-
-def _lattice_cotoral_le(lk, lh):
-    """K <= H for torus subgroups via annihilators: L_H inside L_K with
-    torsion-free quotient (all Smith invariant factors 1)."""
-    coords = []
-    for row in lh.rows:
-        c = la.solve_in_lattice(lk.rows, row)
-        if c is None:
-            return False
-        coords.append(c)
-    if not coords:
-        return True
-    return all(f == 1 for f in la.snf_invariant_factors(coords))
-
-
-def cotoral_le(group, sub, sup):
-    """The cotoral order: sub is normal in sup with quotient a torus."""
-    sub = canonical_key(group, sub)
-    sup = canonical_key(group, sup)
-    if sub == sup:
-        return True
-    if isinstance(group, Circle):
-        return isinstance(sub, Cyc) and isinstance(sup, FullKey)
-    if isinstance(group, Torus):
-        return _lattice_cotoral_le(sub, sup)
-    if isinstance(group, (O2, SO3)):
-        return isinstance(sub, Cyc) and isinstance(sup, SO2Key)
-    return False  # finite groups and semidirect products: reflexivity only
 
 
 # ---------------------------------------------------------------------------
@@ -430,39 +199,6 @@ _NEGATION = IntegerAction(1, (((-1,),),))
 _TRIVIAL_LINE = IntegerAction(1, ())
 
 
-def height_rep(group, key):
-    """Representation-theoretic height of a subgroup.
-
-    The component group of the subgroup acts on the first rational
-    homology of the identity component of its centre; the height is the
-    number of simple summands.  Keys with semisimple (or finite) identity
-    component have nothing to act on and sit at height zero.
-    """
-    key = canonical_key(group, key)
-    if isinstance(group, FiniteGroup):
-        return 0
-    if isinstance(group, Circle):
-        return count_simple_summands(_TRIVIAL_LINE) if isinstance(key, FullKey) else 0
-    if isinstance(group, Torus):
-        corank = key.corank()
-        return count_simple_summands(IntegerAction(corank, ())) if corank else 0
-    if isinstance(group, O2):
-        if isinstance(key, SO2Key):
-            return count_simple_summands(_TRIVIAL_LINE)
-        if isinstance(key, FullKey):
-            return count_simple_summands(_NEGATION)
-        return 0
-    if isinstance(group, SO3):
-        if isinstance(key, SO2Key):
-            return count_simple_summands(_TRIVIAL_LINE)
-        if isinstance(key, O2Key):
-            return count_simple_summands(_NEGATION)
-        return 0  # Full, the polyhedral classes, and finite keys
-    if isinstance(group, ToralSemidirect):
-        return count_simple_summands(IntegerAction(group.rank, group.generators))
-    raise KeyMismatch("no height table for %r" % (group,))
-
-
 # ---------------------------------------------------------------------------
 # Weyl data
 
@@ -479,44 +215,7 @@ class WeylData:
         return self.identity_component == "1"
 
 
-def weyl_data(group, key):
-    key = canonical_key(group, key)
-    if isinstance(group, FiniteGroup):
-        cls = group.classes[key.index]
-        return WeylData("1", cls.weyl_order, cls.component_name())
-    if isinstance(group, Circle):
-        if isinstance(key, Cyc):
-            return WeylData("SO(2)", 1, "1")
-        return WeylData("1", 1, "1")
-    if isinstance(group, Torus):
-        k = len(key.rows)
-        if k == 0:
-            return WeylData("1", 1, "1")
-        return WeylData("SO(2)" if k == 1 else "T^%d" % k, 1, "1")
-    if isinstance(group, O2):
-        if isinstance(key, Cyc):
-            return WeylData("SO(2)", 2, "C2")
-        if isinstance(key, (SO2Key, Dih)):
-            return WeylData("1", 2, "C2")
-        return WeylData("1", 1, "1")
-    if isinstance(group, SO3):
-        if isinstance(key, Cyc):
-            if key.n == 1:
-                return WeylData("SO(3)", 1, "1")
-            return WeylData("SO(2)", 2, "C2")
-        if isinstance(key, (SO2Key, Dih)):
-            return WeylData("1", 2, "C2")
-        if key in _SO3_EXCEPTIONAL:
-            _, order, name = _SO3_EXCEPTIONAL[key]
-            return WeylData("1", order, name)
-        return WeylData("1", 1, "1")  # O2 and the full group
-    if isinstance(group, ToralSemidirect):
-        return WeylData("1", 1, "1")  # the full group normalizes itself
-    raise KeyMismatch("no Weyl table for %r" % (group,))
-
-
-def has_finite_weyl(group, key):
-    return weyl_data(group, key).is_finite()
+_TRIVIAL_WEYL = WeylData("1", 1, "1")
 
 
 def finite_weyl_criterion(action, subspace):
@@ -548,33 +247,432 @@ def _check_invariant(action, subspace):
 
 
 # ---------------------------------------------------------------------------
-# global finiteness predicates
+# groups
+
+
+class _Group:
+    """Defaults for a catalog group.  Every key a hook receives has been
+    through the group's ``_canonical``, which each group defines, as it
+    defines ``_snapshot(bound)``: the snapshot's keys by name, its order
+    pairs, families and parts."""
+
+    def _parse(self, name):
+        """The key of a name outside the shared key vocabulary, or None."""
+        return None
+
+    def _name(self, key):
+        return key.name
+
+    def _lie_rank(self):
+        return 0
+
+    def _cotoral_lt(self, sub, sup):
+        """The cotoral order on two distinct keys."""
+        return False
+
+    def _height(self, key):
+        return 0
+
+    def _weyl(self, key):
+        return _TRIVIAL_WEYL
+
+    def _dimension(self, key):
+        return 0
+
+    def _rank(self, key):
+        return self._dimension(key)
+
+    def _phi_is_finite(self):
+        return True
+
+    def _burnside_rank(self):
+        return 1
+
+
+@dataclass(frozen=True)
+class FiniteClass:
+    """One conjugacy class of subgroups of a finite group."""
+
+    id: str
+    weyl_order: int
+    weyl_name: str = ""
+
+    def component_name(self):
+        return self.weyl_name or ("1" if self.weyl_order == 1 else "W%d" % self.weyl_order)
+
+
+@dataclass(frozen=True)
+class FiniteGroup(_Group):
+    classes: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "classes", tuple(self.classes))
+        ids = [c.id for c in self.classes]
+        if len(set(ids)) != len(ids):
+            raise ValueError("duplicate class ids")
+
+    def _canonical(self, key):
+        if isinstance(key, FiniteIdx) and 0 <= key.index < len(self.classes):
+            return key
+
+    def _parse(self, name):
+        for i, cls in enumerate(self.classes):
+            if cls.id == name:
+                return FiniteIdx(i)
+
+    def _name(self, key):
+        return self.classes[key.index].id
+
+    def _weyl(self, key):
+        cls = self.classes[key.index]
+        return WeylData("1", cls.weyl_order, cls.component_name())
+
+    def _burnside_rank(self):
+        return len(self.classes)
+
+    def _snapshot(self, bound):
+        names = [cls.id for cls in self.classes]
+        parts = [(n, (n,), ()) for n in names]
+        return {n: FiniteIdx(i) for i, n in enumerate(names)}, [], [], parts
+
+
+class _OneDim(_Group):
+    """The circle, O(2) and SO(3), read off two class tables.
+
+    ``_KEYS`` maps each key class of the group to the key's dimension,
+    rank, central action (of the component group on H_1 of the central
+    torus; None when there is no central torus) and Weyl data.
+    ``_SNAPSHOT`` holds the cyclic family's limit, the first dihedral
+    parameter and the dihedral family's limit (None: no dihedral family),
+    the unit keys in naming order, and the keys that form singleton parts.
+    """
+
+    def _canonical(self, key):
+        return key if type(key) in self._KEYS else None
+
+    def _lie_rank(self):
+        return 1
+
+    def _cotoral_lt(self, sub, sup):
+        # a finite cyclic group is cotoral in the circle it lies on
+        return isinstance(sub, Cyc) and sup.name == self._SNAPSHOT[0]
+
+    def _height(self, key):
+        action = self._KEYS[type(key)][2]
+        return count_simple_summands(action) if action is not None else 0
+
+    def _weyl(self, key):
+        return self._KEYS[type(key)][3]
+
+    def _dimension(self, key):
+        return self._KEYS[type(key)][0]
+
+    def _rank(self, key):
+        return self._KEYS[type(key)][1]
+
+    def _phi_is_finite(self):
+        # every dihedral class has a finite Weyl group
+        return self._SNAPSHOT[2] is None
+
+    def _snapshot(self, bound):
+        cyc_limit, dih_start, dih_limit, extra, singles = self._SNAPSHOT
+        cyclic = [Cyc(n) for n in range(1, bound + 1)]
+        dihedral = [Dih(n) for n in range(dih_start, bound + 1)] if dih_limit else []
+        keys = {k.name: k for k in cyclic + dihedral + list(extra)}
+        samples = tuple("C(%d)" % n for n in range(bound + 1, bound + 4))
+        fams = [AccumulationFamily("cyclic", cyc_limit, member_lt=frozenset({cyc_limit}),
+                                   samples=samples)]
+        parts = [("cyclic", tuple(k.name for k in cyclic) + (cyc_limit,), ("cyclic",))]
+        if dih_limit:
+            dstart = max(dih_start, bound + 1)
+            samples = tuple("D(%d)" % (2 * n) for n in range(dstart, dstart + 3))
+            fams.append(AccumulationFamily("dihedral", dih_limit, samples=samples))
+            dih_names = tuple(k.name for k in dihedral) + (dih_limit,)
+            parts.append(("dihedral", dih_names, ("dihedral",)))
+        parts += [(single, (single,), ()) for single in singles]
+        # the only strict cotoral pairs: each cyclic key below the cyclic limit
+        order_pairs = [(k.name, cyc_limit) for k in cyclic]
+        return keys, order_pairs, fams, parts
+
+
+_C2_WEYL = WeylData("1", 2, "C2")
+
+
+@dataclass(frozen=True)
+class Circle(_OneDim):
+    _KEYS = {
+        Cyc: (0, 0, None, WeylData("SO(2)", 1, "1")),
+        FullKey: (1, 1, _TRIVIAL_LINE, _TRIVIAL_WEYL),
+    }
+    _SNAPSHOT = ("G", None, None, (FullKey(),), ())
+
+
+@dataclass(frozen=True)
+class O2(_OneDim):
+    _KEYS = {
+        Cyc: (0, 0, None, WeylData("SO(2)", 2, "C2")),
+        Dih: (0, 0, None, _C2_WEYL),
+        SO2Key: (1, 1, _TRIVIAL_LINE, _C2_WEYL),
+        FullKey: (1, 1, _NEGATION, _TRIVIAL_WEYL),
+    }
+    _SNAPSHOT = ("SO2", 1, "G", (SO2Key(), FullKey()), ())
+
+
+@dataclass(frozen=True)
+class SO3(_OneDim):
+    _KEYS = {
+        Cyc: (0, 0, None, WeylData("SO(2)", 2, "C2")),
+        Dih: (0, 0, None, _C2_WEYL),
+        SO2Key: (1, 1, _TRIVIAL_LINE, _C2_WEYL),
+        O2Key: (1, 1, _NEGATION, _TRIVIAL_WEYL),
+        A4Key: (0, 0, None, _C2_WEYL),
+        S4Key: (0, 0, None, _TRIVIAL_WEYL),
+        A5Key: (0, 0, None, _TRIVIAL_WEYL),
+        KleinKey: (0, 0, None, WeylData("1", 6, "S3")),
+        FullKey: (3, 1, None, _TRIVIAL_WEYL),
+    }
+    # Dih(1) and Dih(2) fuse with C(2) and V4, so the dihedral keys start at 3
+    _SNAPSHOT = ("SO2", 3, "O2",
+                 (SO2Key(), O2Key(), A4Key(), S4Key(), A5Key(), KleinKey(), FullKey()),
+                 ("G", "A4", "S4", "A5", "V4"))
+
+    def _canonical(self, key):
+        if isinstance(key, Dih) and key.n <= 2:
+            # reflections fuse with rotations of order 2
+            return Cyc(2) if key.n == 1 else KleinKey()
+        return super()._canonical(key)
+
+    def _weyl(self, key):
+        if key == Cyc(1):
+            return WeylData("SO(3)", 1, "1")
+        return super()._weyl(key)
+
+
+@dataclass(frozen=True)
+class Torus(_Group):
+    rank: int
+
+    def __post_init__(self):
+        if not 1 <= self.rank <= 3:
+            raise ValueError("torus rank must be between 1 and 3")
+
+    def _canonical(self, key):
+        if isinstance(key, DualLattice) and key.rank == self.rank:
+            return key
+        if isinstance(key, FullKey):
+            return DualLattice(self.rank, ())
+
+    def _lie_rank(self):
+        return self.rank
+
+    def _cotoral_lt(self, sub, sup):
+        """K <= H via annihilators: L_H inside L_K with torsion-free
+        quotient (all Smith invariant factors 1)."""
+        coords = []
+        for row in sup.rows:
+            c = la.solve_in_lattice(sub.rows, row)
+            if c is None:
+                return False
+            coords.append(c)
+        return all(f == 1 for f in la.snf_invariant_factors(coords)) if coords else True
+
+    def _height(self, key):
+        corank = key.corank()
+        return count_simple_summands(IntegerAction(corank, ())) if corank else 0
+
+    def _weyl(self, key):
+        k = len(key.rows)
+        if k == 0:
+            return _TRIVIAL_WEYL
+        return WeylData("SO(2)" if k == 1 else "T^%d" % k, 1, "1")
+
+    def _dimension(self, key):
+        return key.corank()
+
+    def _snapshot(self, bound):
+        keys = {k.name: k for k in _hnf_lattices(self.rank, bound)}
+        # a proper cotoral subgroup has strictly smaller dimension, so only
+        # mixed-corank pairs need the lattice test; the keys are canonical
+        # lattices already, so the test runs on them directly
+        corank = {name: k.corank() for name, k in keys.items()}
+        higher = {d: [b for b in keys if corank[b] > d] for d in set(corank.values())}
+        up = {name: [] for name in keys}
+        order_pairs = []
+        for a, ka in keys.items():
+            for b in higher[corank[a]]:
+                if self._cotoral_lt(ka, keys[b]):
+                    order_pairs.append((a, b))
+                    up[a].append(b)
+        fams = [
+            AccumulationFamily("conv:%s" % name, name, member_lt=frozenset([name, *up[name]]),
+                               member_height_hint=corank[name] - 1 if corank[name] > 1 else None)
+            for name in sorted(keys)
+            if corank[name]
+        ]
+        parts = [("all", tuple(keys), tuple(f.id for f in fams))]
+        return keys, order_pairs, fams, parts
+
+
+@dataclass(frozen=True)
+class ToralSemidirect(_Group):
+    """A rank-r torus extended by a finite group of integer matrices."""
+
+    rank: int
+    generators: tuple
+    relations: tuple = ()
+
+    def __post_init__(self):
+        gens = tuple(la.mat(g) for g in self.generators)
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "relations", tuple(tuple(w) for w in self.relations))
+        if not 1 <= self.rank <= 3:
+            raise ValueError("rank must be between 1 and 3")
+        IntegerAction(self.rank, gens)  # square, invertible and of finite order
+        for word in self.relations:
+            if not all(0 <= i < len(gens) for i in word):
+                raise ValueError("relation %r names an unknown generator" % (word,))
+            m = la.identity(self.rank)
+            for i in word:
+                m = la.mat_mul(m, gens[i])
+            if m != la.identity(self.rank):
+                raise ValueError("relation %r does not hold" % (word,))
+
+    def _canonical(self, key):
+        if isinstance(key, FullKey):
+            return key
+        raise KeyMismatch(
+            "subgroup keys beyond the full group are not enumerated for "
+            "toral semidirect products"
+        )
+
+    def _lie_rank(self):
+        return self.rank
+
+    def _height(self, key):
+        return count_simple_summands(IntegerAction(self.rank, self.generators))
+
+    def _dimension(self, key):
+        raise KeyMismatch("no dimension table for %r" % (self,))
+
+    def _phi_is_finite(self):
+        return all(g == la.identity(self.rank) for g in self.generators)
+
+    def _burnside_rank(self):
+        raise UnsupportedGroup(
+            "class counting for central extensions needs the subgroup "
+            "enumeration that is not modelled"
+        )
+
+    def _snapshot(self, bound):
+        raise UnsupportedGroup("subgroup enumeration for toral semidirect products is not modelled")
+
+
+# the normalizer of a maximal torus in SU(3): the Weyl group S3 acting on
+# the A2 lattice through its two simple reflections
+NSU3T = ToralSemidirect(
+    2,
+    (((-1, 1), (0, 1)), ((1, 0), (1, -1))),
+    ((0, 0), (1, 1), (0, 1, 0, 1, 0, 1)),
+)
+
+
+# ---------------------------------------------------------------------------
+# per-key and per-group answers
+
+
+def _catalog(group):
+    if not isinstance(group, _Group):
+        raise KeyMismatch("unknown group %r" % (group,))
+    return group
+
+
+def canonical_key(group, key):
+    """Validate a key against its group and apply the fusion rules."""
+    canonical = _catalog(group)._canonical(key)
+    if canonical is None:
+        raise KeyMismatch("key %r does not belong to %r" % (key, group))
+    return canonical
+
+
+def key_name(group, key):
+    return group._name(canonical_key(group, key))
+
+
+def parse_key(group, name):
+    """Inverse of key_name on the group's key vocabulary."""
+    m = re.fullmatch(r"C\((\d+)\)", name)
+    if m:
+        return canonical_key(group, Cyc(int(m.group(1))))
+    m = re.fullmatch(r"D\((\d+)\)", name)
+    if m:
+        order = int(m.group(1))
+        if order % 2:
+            raise KeyMismatch("dihedral groups have even order: %r" % name)
+        return canonical_key(group, Dih(order // 2))
+    if name in _UNIT_KEYS:
+        return canonical_key(group, _UNIT_KEYS[name])
+    m = re.fullmatch(r"L\[(.*)\]", name)
+    if m:
+        body = m.group(1).strip()
+        rows = ()
+        if body:
+            rows = tuple(
+                tuple(int(x) for x in part.split()) for part in body.split(";")
+            )
+        return canonical_key(group, DualLattice(group_rank(group), rows))
+    key = _catalog(group)._parse(name)
+    if key is None:
+        raise KeyMismatch("cannot parse key %r" % (name,))
+    return key
+
+
+def group_rank(group):
+    return _catalog(group)._lie_rank()
+
+
+def cotoral_le(group, sub, sup):
+    """The cotoral order: sub is normal in sup with quotient a torus."""
+    sub = canonical_key(group, sub)
+    sup = canonical_key(group, sup)
+    return sub == sup or group._cotoral_lt(sub, sup)
+
+
+def height_rep(group, key):
+    """Representation-theoretic height of a subgroup.
+
+    The component group of the subgroup acts on the first rational
+    homology of the identity component of its centre; the height is the
+    number of simple summands.  Keys with semisimple (or finite) identity
+    component have nothing to act on and sit at height zero.
+    """
+    return group._height(canonical_key(group, key))
+
+
+def weyl_data(group, key):
+    return group._weyl(canonical_key(group, key))
+
+
+def has_finite_weyl(group, key):
+    return weyl_data(group, key).is_finite()
+
+
+def key_dimension(group, key):
+    return group._dimension(canonical_key(group, key))
+
+
+def key_rank(group, key):
+    return group._rank(canonical_key(group, key))
 
 
 def phi_is_finite(group):
     """Finitely many classes with finite Weyl group: the component group
     acts trivially on the maximal torus."""
-    if isinstance(group, (FiniteGroup, Circle, Torus)):
-        return True
-    if isinstance(group, (O2, SO3)):
-        return False
-    if isinstance(group, ToralSemidirect):
-        return all(g == la.identity(group.rank) for g in group.generators)
-    raise KeyMismatch("unknown group %r" % (group,))
+    return _catalog(group)._phi_is_finite()
 
 
 def burnside_rank(group):
     """Number of finite-Weyl conjugacy classes, or infinity."""
-    if not phi_is_finite(group):
-        return inf
-    if isinstance(group, FiniteGroup):
-        return len(group.classes)
-    if isinstance(group, (Circle, Torus)):
-        return 1
-    raise UnsupportedGroup(
-        "class counting for central extensions needs the subgroup "
-        "enumeration that is not modelled"
-    )
+    return group._burnside_rank() if phi_is_finite(group) else inf
 
 
 def spectrum_is_noetherian(group):
@@ -621,8 +719,6 @@ def _hnf_lattices(rank, bound):
         ]
         yield from fill_cell(cells, 0)
 
-    from itertools import combinations
-
     for k in range(1, rank + 1):
         for pivot_cols in combinations(range(rank), k):
             for rows in fill(pivot_cols):
@@ -630,104 +726,12 @@ def _hnf_lattices(rank, bound):
     return out
 
 
-# the one-dimensional catalog groups: the cyclic family's limit, the first
-# dihedral parameter and the dihedral family's limit (None: no dihedral
-# family), the unparameterized keys in naming order, and the keys that form
-# singleton parts; Dih(1) and Dih(2) of SO(3) fuse with C(2) and V4
-_ONE_DIM = {
-    Circle: ("G", None, None, (FullKey(),), ()),
-    O2: ("SO2", 1, "G", (SO2Key(), FullKey()), ()),
-    SO3: (
-        "SO2",
-        3,
-        "O2",
-        (SO2Key(), O2Key(), A4Key(), S4Key(), A5Key(), KleinKey(), FullKey()),
-        ("G", "A4", "S4", "A5", "V4"),
-    ),
-}
-
-
 @lru_cache(maxsize=None)
 def _snapshot_data(group, bound):
     """Keys, order pairs, families, and part grouping for a catalog group."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    if isinstance(group, ToralSemidirect):
-        raise UnsupportedGroup(
-            "subgroup enumeration for toral semidirect products is not modelled"
-        )
-    if isinstance(group, FiniteGroup):
-        names = [cls.id for cls in group.classes]
-        parts = [(n, (n,), ()) for n in names]
-        return {n: FiniteIdx(i) for i, n in enumerate(names)}, [], [], parts
-
-    keys = {}
-    fams = []
-    if type(group) in _ONE_DIM:
-        cyc_limit, dih_start, dih_limit, extra, singles = _ONE_DIM[type(group)]
-        dih = [Dih(n) for n in range(dih_start, bound + 1)] if dih_limit else []
-        for k in [Cyc(n) for n in range(1, bound + 1)] + dih + list(extra):
-            keys[key_name(group, k)] = k
-        fams.append(
-            AccumulationFamily(
-                id="cyclic",
-                limit=cyc_limit,
-                member_lt=frozenset({cyc_limit}),
-                samples=tuple("C(%d)" % n for n in range(bound + 1, bound + 4)),
-            )
-        )
-        cyc_names = tuple(n for n in keys if n.startswith("C(")) + (cyc_limit,)
-        parts = [("cyclic", cyc_names, ("cyclic",))]
-        if dih_limit:
-            dstart = max(dih_start, bound + 1)
-            fams.append(
-                AccumulationFamily(
-                    id="dihedral",
-                    limit=dih_limit,
-                    samples=tuple("D(%d)" % (2 * n) for n in range(dstart, dstart + 3)),
-                )
-            )
-            dih_names = tuple(n for n in keys if n.startswith("D(")) + (dih_limit,)
-            parts.append(("dihedral", dih_names, ("dihedral",)))
-        parts += [(single, (single,), ()) for single in singles]
-    elif isinstance(group, Torus):
-        for k in _hnf_lattices(group.rank, bound):
-            keys[key_name(group, k)] = k
-        # a proper cotoral subgroup has strictly smaller dimension, so only
-        # mixed-corank pairs need the lattice test; the keys are canonical
-        # lattices already, so the test runs on them directly
-        corank = {name: k.corank() for name, k in keys.items()}
-        higher = {d: [b for b in keys if corank[b] > d] for d in set(corank.values())}
-        up = {name: [] for name in keys}
-        order_pairs = []
-        for a, ka in keys.items():
-            for b in higher[corank[a]]:
-                if _lattice_cotoral_le(ka, keys[b]):
-                    order_pairs.append((a, b))
-                    up[a].append(b)
-        for name in sorted(keys):
-            d = corank[name]
-            if d == 0:
-                continue
-            fams.append(
-                AccumulationFamily(
-                    id="conv:%s" % name,
-                    limit=name,
-                    member_lt=frozenset([name, *up[name]]),
-                    member_height_hint=(d - 1) if d > 1 else None,
-                )
-            )
-        parts = [("all", tuple(keys), tuple(f.id for f in fams))]
-        return keys, order_pairs, fams, parts
-    else:
-        raise KeyMismatch("unknown group %r" % (group,))
-    order_pairs = [
-        (a, b)
-        for a in keys
-        for b in keys
-        if a != b and cotoral_le(group, keys[a], keys[b])
-    ]
-    return keys, order_pairs, fams, parts
+    return _catalog(group)._snapshot(bound)
 
 
 @lru_cache(maxsize=None)
@@ -764,30 +768,6 @@ def snapshot_parts(group, bound):
 
 # ---------------------------------------------------------------------------
 # dimension and rank as candidate dispersions
-
-
-def key_dimension(group, key):
-    key = canonical_key(group, key)
-    if isinstance(group, FiniteGroup):
-        return 0
-    if isinstance(group, Circle):
-        return 1 if isinstance(key, FullKey) else 0
-    if isinstance(group, Torus):
-        return key.corank()
-    if isinstance(group, O2):
-        return 1 if isinstance(key, (SO2Key, FullKey)) else 0
-    if isinstance(group, SO3):
-        if isinstance(key, FullKey):
-            return 3
-        return 1 if isinstance(key, (SO2Key, O2Key)) else 0
-    raise KeyMismatch("no dimension table for %r" % (group,))
-
-
-def key_rank(group, key):
-    key = canonical_key(group, key)
-    if isinstance(group, SO3):
-        return 1 if isinstance(key, (SO2Key, O2Key, FullKey)) else 0
-    return key_dimension(group, key)
 
 
 def _candidate(group, space, value_of_key):
@@ -838,16 +818,27 @@ def finite_group_from_json(text):
     return FiniteGroup(tuple(classes))
 
 
+def _json_ints(value, field):
+    """``value`` checked to be a JSON array of integers (booleans are not)."""
+    if not (isinstance(value, list) and all(type(x) is int for x in value)):
+        raise ValueError("%s must be an array of integers" % field)
+    return tuple(value)
+
+
 def toral_semidirect_from_json(text):
     """Schema: {"rank": r, "generators": [[[..]..]..], "relations": [[..]..]}."""
     data = _json_object(json.loads(text), ("rank", "generators"), ("relations",))
-    try:
-        rank = int(data["rank"])
-        gens = tuple(tuple(tuple(int(x) for x in row) for row in g) for g in data["generators"])
-        rels = tuple(tuple(int(i) for i in w) for w in data.get("relations", []))
-    except TypeError as err:  # a number where an array belongs, or the reverse
-        raise ValueError("malformed semidirect spec: %s" % err) from None
-    return ToralSemidirect(rank, gens, rels)
+    if type(data["rank"]) is not int:
+        raise ValueError("rank must be an integer")
+    gens = tuple(
+        tuple(_json_ints(row, "a generator row") for row in _json_list(g, "a generator", list))
+        for g in _json_list(data["generators"], "generators", list)
+    )
+    rels = tuple(
+        _json_ints(word, "a relation")
+        for word in _json_list(data.get("relations", []), "relations", list)
+    )
+    return ToralSemidirect(data["rank"], gens, rels)
 
 
 def group_from_spec(spec, read_file=None):

@@ -613,6 +613,11 @@ class ClopenDownClass:
         )
 
 
+def _closed(points, closure):
+    """``points`` with the principal closure of each of them."""
+    return set(points).union(*map(closure, points))
+
+
 def clopen_down_sets(space):
     """All shape classes of clopen down-sets of a flagged space.
 
@@ -626,24 +631,22 @@ def clopen_down_sets(space):
     if not isinstance(space, FlaggedPriestley):
         raise TypeError("clopen_down_sets expects a flagged space")
     fams = space.families
+    # inclusions close downward and exclusions upward; a closure of a union
+    # is the union of the closures, so each family's share is closed once
+    # (a point above members would force "all", so the upper bounds go too)
+    pulled_in = [_closed({f.limit} | f.member_gt, space.down_closure) for f in fams]
+    pushed_out = [_closed({f.limit} | f.member_lt, space.up_closure) for f in fams]
     out = []
     for profile in range(1 << len(fams)):
         infinite = {f.id for i, f in enumerate(fams) if profile >> i & 1}
         required = set()
         excluded = set()
-        for f in fams:
+        for f, down, up in zip(fams, pulled_in, pushed_out):
             if f.id in infinite:
-                required.add(f.limit)
-                required |= f.member_gt
+                required |= down
             else:
-                excluded.add(f.limit)
-                excluded |= f.member_lt  # a point above members would force "all"
-        # inclusions close downward, exclusions close upward; clashes kill
-        # the profile (e.g. a finite-side limit forced in from below)
-        for p in list(required):
-            required |= space.down_closure(p)
-        for p in list(excluded):
-            excluded |= space.up_closure(p)
+                excluded |= up
+        # clashes kill the profile (e.g. a finite-side limit forced in from below)
         if required & excluded:
             continue
         tags = {}

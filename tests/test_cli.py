@@ -180,6 +180,16 @@ MALFORMED_INPUTS = [
     ("numeric-generators", ["noetherian", "semidirect:"], {"rank": 1, "generators": 5}),
     ("unknown-generator", ["noetherian", "semidirect:"],
      {"rank": 1, "generators": [[[-1]]], "relations": [[3]]}),
+    ("float-rank", ["noetherian", "semidirect:"], {"rank": 1.9, "generators": [[[-1]]]}),
+    ("string-rank", ["noetherian", "semidirect:"], {"rank": "1", "generators": [[[-1]]]}),
+    ("bool-rank", ["noetherian", "semidirect:"], {"rank": True, "generators": [[[-1]]]}),
+    ("float-entry", ["noetherian", "semidirect:"], {"rank": 1, "generators": [[[-1.5]]]}),
+    ("string-entry", ["noetherian", "semidirect:"], {"rank": 1, "generators": [[["-1"]]]}),
+    ("bool-entry", ["noetherian", "semidirect:"], {"rank": 1, "generators": [[[True]]]}),
+    ("string-relation-index", ["noetherian", "semidirect:"],
+     {"rank": 1, "generators": [[[-1]]], "relations": [["0", "0"]]}),
+    ("float-relation-index", ["noetherian", "semidirect:"],
+     {"rank": 1, "generators": [[[-1]]], "relations": [[0.0, 0]]}),
     ("candidate-array", ["check-dispersion", "circle"], [0, 1]),
     ("candidate-array-value", ["check-dispersion", "circle"], {"C(1)": [0]}),
 ]

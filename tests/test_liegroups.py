@@ -45,6 +45,7 @@ from prism import (
     is_noetherian,
     key_dimension,
     key_name,
+    key_rank,
     normalizer_directions,
     parse_key,
     phi_is_finite,
@@ -365,6 +366,82 @@ def test_snapshot_parts():
         assert not (union & piece.concrete)
         union |= piece.concrete
     assert union == whole.concrete
+
+
+# ---------------------------------------------------------------------------
+# per-key tables
+
+
+PINNED_KEYS = [
+    Cyc(1), Cyc(3), Dih(1), Dih(2), Dih(3), SO2Key(), O2Key(), FullKey(), A4Key(), S4Key(),
+    A5Key(), KleinKey(), DualLattice(1, ((2,),)), DualLattice(2, ((1, 0),)),
+    DualLattice(2, ((1, 1), (0, 2))), DualLattice(3, ((0, 1, 1),)), FiniteIdx(0), FiniteIdx(2),
+]
+
+# (key_name, height_rep, weyl_data, key_dimension, key_rank) per group and key;
+# every key a group does not list raises KeyMismatch in all five
+PINNED_TABLES = [
+    (Circle(), {
+        Cyc(1): ("C(1)", 0, WeylData("SO(2)", 1, "1"), 0, 0),
+        Cyc(3): ("C(3)", 0, WeylData("SO(2)", 1, "1"), 0, 0),
+        FullKey(): ("G", 1, WeylData("1", 1, "1"), 1, 1),
+    }),
+    (O2(), {
+        Cyc(1): ("C(1)", 0, WeylData("SO(2)", 2, "C2"), 0, 0),
+        Cyc(3): ("C(3)", 0, WeylData("SO(2)", 2, "C2"), 0, 0),
+        Dih(1): ("D(2)", 0, WeylData("1", 2, "C2"), 0, 0),
+        Dih(2): ("D(4)", 0, WeylData("1", 2, "C2"), 0, 0),
+        Dih(3): ("D(6)", 0, WeylData("1", 2, "C2"), 0, 0),
+        SO2Key(): ("SO2", 1, WeylData("1", 2, "C2"), 1, 1),
+        FullKey(): ("G", 1, WeylData("1", 1, "1"), 1, 1),
+    }),
+    (SO3(), {
+        Cyc(1): ("C(1)", 0, WeylData("SO(3)", 1, "1"), 0, 0),
+        Cyc(3): ("C(3)", 0, WeylData("SO(2)", 2, "C2"), 0, 0),
+        Dih(1): ("C(2)", 0, WeylData("SO(2)", 2, "C2"), 0, 0),
+        Dih(2): ("V4", 0, WeylData("1", 6, "S3"), 0, 0),
+        Dih(3): ("D(6)", 0, WeylData("1", 2, "C2"), 0, 0),
+        SO2Key(): ("SO2", 1, WeylData("1", 2, "C2"), 1, 1),
+        O2Key(): ("O2", 1, WeylData("1", 1, "1"), 1, 1),
+        FullKey(): ("G", 0, WeylData("1", 1, "1"), 3, 1),
+        A4Key(): ("A4", 0, WeylData("1", 2, "C2"), 0, 0),
+        S4Key(): ("S4", 0, WeylData("1", 1, "1"), 0, 0),
+        A5Key(): ("A5", 0, WeylData("1", 1, "1"), 0, 0),
+        KleinKey(): ("V4", 0, WeylData("1", 6, "S3"), 0, 0),
+    }),
+    (Torus(1), {
+        FullKey(): ("G", 1, WeylData("1", 1, "1"), 1, 1),
+        DualLattice(1, ((2,),)): ("L[2]", 0, WeylData("SO(2)", 1, "1"), 0, 0),
+    }),
+    (Torus(2), {
+        FullKey(): ("G", 2, WeylData("1", 1, "1"), 2, 2),
+        DualLattice(2, ((1, 0),)): ("L[1 0]", 1, WeylData("SO(2)", 1, "1"), 1, 1),
+        DualLattice(2, ((1, 1), (0, 2))): ("L[1 1; 0 2]", 0, WeylData("T^2", 1, "1"), 0, 0),
+    }),
+    (Torus(3), {
+        FullKey(): ("G", 3, WeylData("1", 1, "1"), 3, 3),
+        DualLattice(3, ((0, 1, 1),)): ("L[0 1 1]", 2, WeylData("SO(2)", 1, "1"), 2, 2),
+    }),
+    (sym3(), {
+        FiniteIdx(0): ("1", 0, WeylData("1", 6, "S3"), 0, 0),
+        FiniteIdx(2): ("C3", 0, WeylData("1", 2, "C2"), 0, 0),
+    }),
+    (NSU3T, {
+        FullKey(): ("G", 1, WeylData("1", 1, "1"), KeyMismatch, KeyMismatch),
+    }),
+]
+
+
+def test_group_tables_pinned():
+    functions = (key_name, height_rep, weyl_data, key_dimension, key_rank)
+    for group, table in PINNED_TABLES:
+        for key in PINNED_KEYS:
+            for function, expected in zip(functions, table.get(key, (KeyMismatch,) * 5)):
+                if expected is KeyMismatch:
+                    with pytest.raises(KeyMismatch):
+                        function(group, key)
+                else:
+                    assert function(group, key) == expected, (function.__name__, group, key)
 
 
 # ---------------------------------------------------------------------------

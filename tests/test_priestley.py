@@ -7,10 +7,13 @@ import pytest
 
 from prism import (
     ALL,
+    ANTICHAIN,
     COFINITE,
+    DESCENDING,
     EMPTY,
     FINITE,
     AccumulationFamily,
+    ClopenDownClass,
     FinitePriestley,
     FiniteTopSpace,
     FlaggedPriestley,
@@ -252,6 +255,68 @@ def test_clopen_class_realizations_are_clopen_down_sets():
             truncated = instantiate(space, 3)
             concrete = realize_in_truncation(space, s, 3)
             assert truncated.is_down_set(concrete)
+
+
+def per_point_clopen_down_sets(space):
+    """The former clopen_down_sets, closing the forced points one at a time
+    in every profile: the reference for the per-family closures."""
+    fams = space.families
+    out = []
+    for profile in range(1 << len(fams)):
+        infinite = {f.id for i, f in enumerate(fams) if profile >> i & 1}
+        required = set()
+        excluded = set()
+        for f in fams:
+            if f.id in infinite:
+                required |= {f.limit} | f.member_gt
+            else:
+                excluded |= {f.limit} | f.member_lt
+        for p in list(required):
+            required |= space.down_closure(p)
+        for p in list(excluded):
+            excluded |= space.up_closure(p)
+        if required & excluded:
+            continue
+        tags = {}
+        for f in fams:
+            if f.id in infinite:
+                tags[f.id] = ALL if f.member_lt & required else COFINITE
+            elif f.member_order == ANTICHAIN and not (f.member_gt & excluded):
+                tags[f.id] = FINITE
+            else:
+                tags[f.id] = EMPTY
+        optional = frozenset(space.concrete) - required - excluded
+        out.append(ClopenDownClass(tuple(sorted(tags.items())), frozenset(required), optional))
+    return tuple(out)
+
+
+def test_clopen_classes_match_per_point_closure():
+    rng = random.Random(8080)
+    spaces = [circle_model(), dihedral_model()]
+    while len(spaces) < 200:
+        n = rng.randint(2, 9)
+        pts = ["p%d" % i for i in range(n)]
+        order = [(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        fams = []
+        for k in range(rng.randint(0, 5)):
+            cut = rng.randint(0, n)
+            fams.append(AccumulationFamily(
+                id="f%d" % k,
+                limit=rng.choice(pts),
+                member_order=DESCENDING if rng.random() < 0.3 else ANTICHAIN,
+                member_gt=frozenset(p for p in pts[:cut] if rng.random() < 0.4),
+                member_lt=frozenset(p for p in pts[cut:] if rng.random() < 0.4),
+            ))
+        try:
+            spaces.append(FlaggedPriestley(frozenset(pts), order, tuple(fams)))
+        except ValueError:
+            continue
+    kept = 0
+    for space in spaces:
+        classes = clopen_down_sets(space)
+        assert classes == per_point_clopen_down_sets(space)
+        kept += len(classes)
+    assert kept > len(spaces)
 
 
 # ---------------------------------------------------------------------------
