@@ -17,11 +17,6 @@ from fractions import Fraction
 # integer matrices
 
 
-def mat(rows):
-    """Normalize to a tuple-of-tuples matrix."""
-    return tuple(tuple(int(x) for x in r) for r in rows)
-
-
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

@@ -17,7 +17,8 @@ encoded by exact keys:
 The cotoral order ("normal with torus quotient") becomes table lookup
 for the one-dimensional groups and, for tori, the exact lattice
 condition: the annihilator lattices are nested with torsion-free
-quotient, decided by Smith normal form.
+quotient, decided by Smith normal form for one pair and, in a snapshot,
+read off the lattice points each key has inside the bound's box.
 
 Heights are computed representation-theoretically: the component group
 of a subgroup acts on the first rational homology of the identity
@@ -40,7 +41,7 @@ defaults do not hold for it.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from math import inf
+from math import gcd, inf
 import json
 import re
 
@@ -138,6 +139,14 @@ class FiniteIdx:
 # integer actions and the height formula
 
 
+def _int_matrix(rows):
+    """``rows`` as a tuple-of-tuples matrix of integers (booleans are not)."""
+    m = tuple(tuple(r) for r in rows)
+    if not all(type(x) is int for r in m for x in r):
+        raise ValueError("matrix entries must be integers, got %r" % (m,))
+    return m
+
+
 @dataclass(frozen=True)
 class IntegerAction:
     """A finite group acting on a lattice through integer generator matrices."""
@@ -146,7 +155,7 @@ class IntegerAction:
     generators: tuple = ()
 
     def __post_init__(self):
-        gens = tuple(la.mat(g) for g in self.generators)
+        gens = tuple(_int_matrix(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         if self.dim < 0:
             raise ValueError("dimension must be nonnegative")
@@ -490,19 +499,45 @@ class Torus(_Group):
         return key.corank()
 
     def _snapshot(self, bound):
-        keys = {k.name: k for k in _hnf_lattices(self.rank, bound)}
-        # a proper cotoral subgroup has strictly smaller dimension, so only
-        # mixed-corank pairs need the lattice test; the keys are canonical
-        # lattices already, so the test runs on them directly
-        corank = {name: k.corank() for name, k in keys.items()}
-        higher = {d: [b for b in keys if corank[b] > d] for d in set(corank.values())}
-        up = {name: [] for name in keys}
+        """The in-bound lattices, with the cotoral order read off lattice points.
+
+        Saturation lemma: for ``L_H`` inside ``L_K``, the quotient
+        ``L_K / L_H`` is torsion-free exactly when the coordinates of
+        ``L_H``'s basis in ``L_K``'s basis form a primitive matrix (all
+        Smith invariant factors 1, that is, the gcd of its maximal minors
+        is 1).  A proper cotoral pair has ``L_H`` of smaller rank than
+        ``L_K``, and a one-row ``K`` lies under ``G`` (the zero lattice)
+        only.
+
+        In-box argument: every row of an in-bound HNF key has entries in
+        ``[-b, b]``, so the rows of any in-bound ``H`` above ``K`` are
+        points of ``L_K`` inside the box ``[-b, b]^r``.  Listing those
+        points once per ``K``, with their coordinates, and looking the keys
+        up by their first row replaces the test of every mixed-corank pair.
+        Each ``K``'s hits are sorted by key position, which gives the pair
+        list of the all-pairs test, in its order.
+        """
+        lattices = _hnf_lattices(self.rank, bound)
+        keys = {k.name: k for k in lattices}
+        names = list(keys)
+        by_first_row = [{} for _ in range(self.rank)]  # per row count
+        for pos, key in enumerate(lattices[1:], 1):
+            by_first_row[len(key.rows) - 1].setdefault(key.rows[0], []).append((pos, key.rows))
+        up = {}
         order_pairs = []
-        for a, ka in keys.items():
-            for b in higher[corank[a]]:
-                if self._cotoral_lt(ka, keys[b]):
-                    order_pairs.append((a, b))
-                    up[a].append(b)
+        for name, key in keys.items():
+            hits = [0] if key.rows else []  # every proper subgroup lies under G
+            if len(key.rows) > 1:
+                points = _box_points(key.rows, bound)
+                for index in by_first_row[:len(key.rows) - 1]:
+                    for point, coords in points.items():
+                        for pos, rows in index.get(point, ()):
+                            matrix = [coords] + [points.get(r) for r in rows[1:]]
+                            if None not in matrix and _primitive(matrix):
+                                hits.append(pos)
+            up[name] = [names[pos] for pos in sorted(hits)]
+            order_pairs += [(name, above) for above in up[name]]
+        corank = {name: k.corank() for name, k in keys.items()}
         fams = [
             AccumulationFamily("conv:%s" % name, name, member_lt=frozenset([name, *up[name]]),
                                member_height_hint=corank[name] - 1 if corank[name] > 1 else None)
@@ -522,15 +557,15 @@ class ToralSemidirect(_Group):
     relations: tuple = ()
 
     def __post_init__(self):
-        gens = tuple(la.mat(g) for g in self.generators)
+        gens = tuple(_int_matrix(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relations", tuple(tuple(w) for w in self.relations))
         if not 1 <= self.rank <= 3:
             raise ValueError("rank must be between 1 and 3")
         IntegerAction(self.rank, gens)  # square, invertible and of finite order
         for word in self.relations:
-            if not all(0 <= i < len(gens) for i in word):
-                raise ValueError("relation %r names an unknown generator" % (word,))
+            if not all(type(i) is int and 0 <= i < len(gens) for i in word):
+                raise ValueError("relation %r is not a word in the generator indices" % (word,))
             m = la.identity(self.rank)
             for i in word:
                 m = la.mat_mul(m, gens[i])
@@ -600,27 +635,36 @@ def key_name(group, key):
 
 def parse_key(group, name):
     """Inverse of key_name on the group's key vocabulary."""
-    m = re.fullmatch(r"C\((\d+)\)", name)
-    if m:
-        return canonical_key(group, Cyc(int(m.group(1))))
-    m = re.fullmatch(r"D\((\d+)\)", name)
-    if m:
-        order = int(m.group(1))
-        if order % 2:
-            raise KeyMismatch("dihedral groups have even order: %r" % name)
-        return canonical_key(group, Dih(order // 2))
-    if name in _UNIT_KEYS:
-        return canonical_key(group, _UNIT_KEYS[name])
-    m = re.fullmatch(r"L\[(.*)\]", name)
-    if m:
-        body = m.group(1).strip()
-        rows = ()
-        if body:
-            rows = tuple(
-                tuple(int(x) for x in part.split()) for part in body.split(";")
-            )
-        return canonical_key(group, DualLattice(group_rank(group), rows))
-    key = _catalog(group)._parse(name)
+    return _parse_key(_catalog(group), name)
+
+
+@lru_cache(maxsize=None)
+def _parse_key(group, name):
+    """``parse_key`` for a catalog group; each name is parsed once."""
+    try:
+        m = re.fullmatch(r"C\((\d+)\)", name)
+        if m:
+            return canonical_key(group, Cyc(int(m.group(1))))
+        m = re.fullmatch(r"D\((\d+)\)", name)
+        if m:
+            order = int(m.group(1))
+            if order % 2:
+                raise KeyMismatch("dihedral groups have even order: %r" % name)
+            return canonical_key(group, Dih(order // 2))
+        if name in _UNIT_KEYS:
+            return canonical_key(group, _UNIT_KEYS[name])
+        m = re.fullmatch(r"L\[(.*)\]", name)
+        if m:
+            body = m.group(1).strip()
+            rows = ()
+            if body:
+                rows = tuple(
+                    tuple(int(x) for x in part.split()) for part in body.split(";")
+                )
+            return canonical_key(group, DualLattice(group_rank(group), rows))
+    except ValueError as exc:  # a malformed number, or a row or key out of range
+        raise KeyMismatch("cannot parse key %r for %r: %s" % (name, group, exc)) from None
+    key = group._parse(name)
     if key is None:
         raise KeyMismatch("cannot parse key %r" % (name,))
     return key
@@ -724,6 +768,44 @@ def _hnf_lattices(rank, bound):
             for rows in fill(pivot_cols):
                 out.append(DualLattice(rank, rows))
     return out
+
+
+def _box_points(rows, bound):
+    """The points of the lattice with HNF basis ``rows`` inside the box
+    ``[-bound, bound]^r``, each mapped to its coordinates in that basis.
+
+    The basis is triangular, so the points are built row by row.  The
+    columns from a row's pivot up to the next pivot are final once that
+    row's coefficient is chosen; each confines the coefficient to an
+    interval, and only coefficients in all of them are kept.
+    """
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    ends = pivots[1:] + [len(rows[0])]
+    partial = [((0,) * len(rows[0]), ())]
+    for row, p, end in zip(rows, pivots, ends):
+        grown = []
+        for v, coords in partial:
+            lo, hi = -inf, inf  # the pivot column comes first and makes these integers
+            for a, c in zip(row[p:end], v[p:end]):
+                if a < 0:
+                    a, c = -a, -c
+                if a:
+                    lo, hi = max(lo, -((bound + c) // a)), min(hi, (bound - c) // a)
+                elif abs(c) > bound:
+                    lo, hi = 1, 0
+            for t in range(lo, hi + 1):
+                grown.append((tuple(x + t * y for x, y in zip(v, row)), coords + (t,)))
+        partial = grown
+    return dict(partial)
+
+
+def _primitive(coords):
+    """Whether one or two integer rows span a saturated sublattice: the
+    gcd of their maximal minors is 1."""
+    if len(coords) == 1:
+        return gcd(*coords[0]) == 1
+    a, b = coords
+    return gcd(*(a[i] * b[j] - a[j] * b[i] for i, j in combinations(range(len(a)), 2))) == 1
 
 
 @lru_cache(maxsize=None)

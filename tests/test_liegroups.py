@@ -57,6 +57,7 @@ from prism import (
     weyl_data,
 )
 from prism import intlinalg as la
+from prism.liegroups import _snapshot_data
 from prism.oracles import CATALOG_SWEEP, check_cotoral_order, check_snf_torsion
 
 
@@ -129,6 +130,28 @@ def test_snf_vs_coset_enumeration():
 
 def test_torus_order_vs_all_pairs():
     assert check_cotoral_order() > 0
+
+
+@pytest.mark.parametrize("group, bound, n_keys, n_pairs", [
+    (Torus(2), 12, 1249, 9718),
+    (Torus(3), 3, 1450, 18267),
+])
+def test_torus_order_index_vs_cotoral_le(group, bound, n_keys, n_pairs):
+    """The lattice-point index behind the torus order gives, for sampled
+    keys K, exactly the mixed-corank keys H with cotoral_le(K, H), in key
+    order; the counts are those of the all-pairs build."""
+    keys, order_pairs, _, _ = _snapshot_data(group, bound)
+    assert (len(keys), len(order_pairs)) == (n_keys, n_pairs)
+    above = {name: [] for name in keys}
+    for a, b in order_pairs:
+        above[a].append(b)
+    rng = random.Random(9000 + 10 * group.rank + bound)
+    for a in rng.sample(sorted(keys), 20):
+        expected = [
+            b for b in keys
+            if keys[b].corank() > keys[a].corank() and cotoral_le(group, keys[a], keys[b])
+        ]
+        assert above[a] == expected, a
 
 
 def test_key_mismatch():
@@ -482,6 +505,37 @@ def test_loaders():
         ))
     with pytest.raises(ValueError):
         finite_group_from_json(json.dumps({"classes": [], "extra": 1}))
+
+
+def test_parse_key_errors_and_reuse():
+    for group, name in [
+        (Circle(), "L[1 0]"),  # a lattice name for a group without lattice keys
+        (Torus(2), "L[2]"),  # a row of the wrong width
+        (Torus(2), "L[1 x]"),  # not an integer
+        (Circle(), "C(0)"),
+        (sym3(), "L[2]"),
+        (Torus(2), "X"),
+    ]:
+        with pytest.raises(KeyMismatch):
+            parse_key(group, name)
+    with pytest.raises(KeyMismatch):
+        parse_key([Torus(2)], "G")  # not a catalog group, and not hashable
+    for group, name in [(Torus(3), "L[1 0 2; 0 1 1]"), (O2(), "D(4)"), (sym3(), "C3")]:
+        first = parse_key(group, name)
+        assert parse_key(group, name) == first
+        assert key_name(group, first) == name
+
+
+def test_action_entries_must_be_integers():
+    for generators in [(((-1.5,),),), (((-1.0,),),), (((True,),),)]:
+        with pytest.raises(ValueError):
+            IntegerAction(1, generators)
+        with pytest.raises(ValueError):
+            ToralSemidirect(1, generators)
+    for word in [(0.0, 0), (True, 0), (0, 1), (-1, 0)]:
+        with pytest.raises(ValueError):
+            ToralSemidirect(1, (((-1,),),), (word,))
+    assert ToralSemidirect(1, (((-1,),),), ((0, 0),)).generators == (((-1,),),)
 
 
 def test_group_from_spec():
