@@ -5,7 +5,7 @@ Subcommands::
     prism show <space>                     describe a space
     prism heights <space>                  height table
     prism check-dispersion <space> <file>  test a candidate dispersion
-    prism closed-sets <space>              clopen down-set classes
+    prism closed-sets <space>              clopen down-set classes, at most 65536
     prism noetherian <group>               Noetherian verdict for a group
     prism cube <group>                     decomposition diagram
     prism isomax <n>                       isomax dimension table, 0 <= n <= 12

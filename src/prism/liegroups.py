@@ -266,7 +266,8 @@ class _Group:
     pairs, families and parts."""
 
     def _parse(self, name):
-        """The key of a name outside the shared key vocabulary, or None."""
+        """The key of a name in the group's own vocabulary, or None; it
+        is asked before the shared key vocabulary."""
         return None
 
     def _name(self, key):
@@ -587,7 +588,8 @@ class ToralSemidirect(_Group):
         return count_simple_summands(IntegerAction(self.rank, self.generators))
 
     def _dimension(self, key):
-        raise KeyMismatch("no dimension table for %r" % (self,))
+        # the only key is the whole group, of the torus's dimension and rank
+        return self.rank
 
     def _phi_is_finite(self):
         return all(g == la.identity(self.rank) for g in self.generators)
@@ -640,7 +642,12 @@ def parse_key(group, name):
 
 @lru_cache(maxsize=None)
 def _parse_key(group, name):
-    """``parse_key`` for a catalog group; each name is parsed once."""
+    """``parse_key`` for a catalog group; each name is parsed once.  The
+    group's own names come first, so a finite group may call a class ``G``
+    or ``C(2)``."""
+    key = group._parse(name)
+    if key is not None:
+        return key
     try:
         m = re.fullmatch(r"C\((\d+)\)", name)
         if m:
@@ -664,10 +671,7 @@ def _parse_key(group, name):
             return canonical_key(group, DualLattice(group_rank(group), rows))
     except ValueError as exc:  # a malformed number, or a row or key out of range
         raise KeyMismatch("cannot parse key %r for %r: %s" % (name, group, exc)) from None
-    key = group._parse(name)
-    if key is None:
-        raise KeyMismatch("cannot parse key %r" % (name,))
-    return key
+    raise KeyMismatch("cannot parse key %r" % (name,))
 
 
 def group_rank(group):

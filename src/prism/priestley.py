@@ -133,9 +133,11 @@ class _OrderIndex:
     stored field value: the constructor drops it from the instance and
     ``__getattr__`` closes it again from the principal up-sets on first
     read.  Principal down- and up-sets come from one index of both
-    directions, and cover lists per lower point from another; both are
-    built from the covers on first use and are no dataclass fields, so
-    equality, hashing and ``dataclasses.replace`` see only the fields.
+    directions, and cover lists per lower and per upper point from two
+    more; all are built from the covers on first use and are no dataclass
+    fields, so equality, hashing and ``dataclasses.replace`` see only the
+    fields.  The down- and up-set tests read the cover lists, so they cost
+    the covers at the points of the set, not their principal closures.
     """
 
     def __getattr__(self, name):
@@ -170,6 +172,36 @@ class _OrderIndex:
                 above.setdefault(ab[0], []).append(ab)
             object.__setattr__(self, "_above", above)
         return above
+
+    def _covers_below(self):
+        """Upper point -> the points it covers."""
+        below = self.__dict__.get("_below")
+        if below is None:
+            below = {}
+            for (a, b) in self.covers:
+                below.setdefault(b, []).append(a)
+            object.__setattr__(self, "_below", below)
+        return below
+
+    def is_down_set(self, subset):
+        """Whether ``subset`` holds everything below its points.  By
+        transitivity it is enough that it holds the points they cover."""
+        below = self._covers_below()
+        for p in subset:
+            for a in below.get(p, ()):
+                if a not in subset:
+                    return False
+        return True
+
+    def is_up_set(self, subset):
+        """Whether ``subset`` holds everything above its points, read off
+        the covers as in ``is_down_set``."""
+        above = self._covers_above()
+        for p in subset:
+            for (_, b) in above.get(p, ()):
+                if b not in subset:
+                    return False
+        return True
 
     def down_closure(self, p):
         return self._down_up()[0].get(p, frozenset())
@@ -264,12 +296,6 @@ class FinitePriestley(_OrderIndex):
 
     def minimal_points(self):
         return self._minimal(self.points)
-
-    def is_down_set(self, subset):
-        return all(q in subset for p in subset for q in self.down_closure(p))
-
-    def is_up_set(self, subset):
-        return all(q in subset for p in subset for q in self.up_closure(p))
 
 
 def priestley_of_spectral(space):
@@ -434,41 +460,49 @@ class SymbolicSet:
 
     def is_closed(self, space):
         """Infinitely many members inside force the limit inside."""
-        return all(
-            f.limit in self.concrete
-            for f in space.families
-            if self.portion(f.id) in _INFINITE
-        )
+        tags, concrete = self._tags, self.concrete
+        for f in space.families:
+            if tags.get(f.id) in _INFINITE and f.limit not in concrete:
+                return False
+        return True
 
     def is_open(self, space):
-        return self.complement(space).is_closed(space)
+        """The complement is closed: a family with at most finitely many
+        members inside, so infinitely many outside, keeps its limit out."""
+        tags, concrete = self._tags, self.concrete
+        for f in space.families:
+            if tags.get(f.id) not in _INFINITE and f.limit in concrete:
+                return False
+        return True
 
     def is_clopen(self, space):
         return self.is_closed(space) and self.is_open(space)
 
     def is_down_set(self, space):
-        for p in self.concrete:
-            if not space.down_closure(p) <= self.concrete:
-                return False
+        concrete = self.concrete
+        if not space.is_down_set(concrete):
+            return False
+        tags = self._tags
         for f in space.families:
-            tag = self.portion(f.id)
-            if tag != EMPTY and not f.member_gt <= self.concrete:
+            tag = tags.get(f.id, EMPTY)
+            if tag != EMPTY and not f.member_gt <= concrete:
                 return False
-            if f.member_lt & self.concrete and tag != ALL:
+            if tag != ALL and not f.member_lt.isdisjoint(concrete):
                 return False
             if f.member_order == DESCENDING and tag == FINITE:
                 return False  # nonempty finite pieces of a chain are not down-closed
         return True
 
     def is_up_set(self, space):
-        for p in self.concrete:
-            if not space.up_closure(p) <= self.concrete:
-                return False
+        concrete = self.concrete
+        if not space.is_up_set(concrete):
+            return False
+        tags = self._tags
         for f in space.families:
-            tag = self.portion(f.id)
-            if tag != EMPTY and not f.member_lt <= self.concrete:
+            tag = tags.get(f.id, EMPTY)
+            if tag != EMPTY and not f.member_lt <= concrete:
                 return False
-            if f.member_gt & self.concrete and tag != ALL:
+            if tag != ALL and not f.member_gt.isdisjoint(concrete):
                 return False
             if f.member_order == DESCENDING and tag == COFINITE:
                 return False  # tails of a chain are not up-closed
@@ -615,18 +649,32 @@ class ClopenDownClass:
 
 def _closed(points, closure):
     """``points`` with the principal closure of each of them."""
-    return set(points).union(*map(closure, points))
+    return frozenset(points).union(*map(closure, points))
+
+
+# clopen_down_sets raises ValueError once it has found more classes than
+# this: T^2 at bound 4 has 41 families and runs out of memory long before
+# its classes are all listed, while T^2 at bound 2 (13 families) has 4097
+CLOPEN_MAX_CLASSES = 1 << 16
 
 
 def clopen_down_sets(space):
     """All shape classes of clopen down-sets of a flagged space.
 
-    Enumerates the finite/infinite member profile over the families
-    (2^families cases) and propagates the forced consequences: an infinite
+    A class fixes, per family, whether a finite or an infinite share of its
+    members is inside, and propagates the forced consequences: an infinite
     portion pulls in the limit and the lower bounds, a finite portion
     expels the limit, a point above members of a finitely-tagged family is
     expelled, and expulsion propagates upward as inclusion propagates
-    downward.  Classes whose constraints clash are dropped.
+    downward.  Profiles whose constraints clash are dropped.
+
+    The profiles are searched depth first: the last family is decided
+    first and the first family last, each finite side before its infinite
+    side, so the classes come out in ascending order of the profile read
+    as a binary number (bit i set: family i infinite).  Along a branch the
+    required and the excluded points only grow, so a clash prunes every
+    profile below it.  More than ``CLOPEN_MAX_CLASSES`` classes raise
+    ValueError.
     """
     if not isinstance(space, FlaggedPriestley):
         raise TypeError("clopen_down_sets expects a flagged space")
@@ -636,34 +684,38 @@ def clopen_down_sets(space):
     # (a point above members would force "all", so the upper bounds go too)
     pulled_in = [_closed({f.limit} | f.member_gt, space.down_closure) for f in fams]
     pushed_out = [_closed({f.limit} | f.member_lt, space.up_closure) for f in fams]
+    # one (id, tag) pair per family and tag, shared by every class; the
+    # families are sorted by id, so each class's pairs are too
+    pairs = [{t: (f.id, t) for t in (EMPTY, FINITE, COFINITE, ALL)} for f in fams]
     out = []
-    for profile in range(1 << len(fams)):
-        infinite = {f.id for i, f in enumerate(fams) if profile >> i & 1}
-        required = set()
-        excluded = set()
-        for f, down, up in zip(fams, pulled_in, pushed_out):
-            if f.id in infinite:
-                required |= down
-            else:
-                excluded |= up
-        # clashes kill the profile (e.g. a finite-side limit forced in from below)
-        if required & excluded:
+    # (families left undecided, required, excluded, profile so far); an
+    # explicit stack, as a recursive closure would keep ``out`` alive in a
+    # reference cycle until the cyclic collector runs
+    stack = [(len(fams), frozenset(), frozenset(), 0)]
+    while stack:
+        i, required, excluded, profile = stack.pop()
+        if i:
+            i -= 1
+            down, up = pulled_in[i], pushed_out[i]
+            if down.isdisjoint(excluded):
+                stack.append((i, required | down, excluded, profile | 1 << i))
+            if up.isdisjoint(required):
+                stack.append((i, required, excluded | up, profile))
             continue
-        tags = {}
-        for f in fams:
-            if f.id in infinite:
-                tags[f.id] = ALL if f.member_lt & required else COFINITE
+        tags = []
+        for j, f in enumerate(fams):
+            if profile >> j & 1:
+                tag = COFINITE if f.member_lt.isdisjoint(required) else ALL
+            elif f.member_order == ANTICHAIN and f.member_gt.isdisjoint(excluded):
+                tag = FINITE
             else:
-                nonempty_possible = (
-                    f.member_order == ANTICHAIN and not (f.member_gt & excluded)
-                )
-                tags[f.id] = FINITE if nonempty_possible else EMPTY
-        optional = frozenset(space.concrete) - required - excluded
-        out.append(
-            ClopenDownClass(
-                tuple(sorted(tags.items())), frozenset(required), optional
+                tag = EMPTY
+            tags.append(pairs[j][tag])
+        if len(out) == CLOPEN_MAX_CLASSES:
+            raise ValueError(
+                "more than %d clopen down-set classes" % CLOPEN_MAX_CLASSES
             )
-        )
+        out.append(ClopenDownClass(tuple(tags), required, space.concrete - required - excluded))
     return tuple(out)
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from prism import flagged_snapshot, flagged_to_json, Circle, guiding_examples
+from prism import flagged_snapshot, flagged_to_json, Circle, guiding_examples, priestley
 from prism.cli import heights_table, main
 from prism.cube import build_decomposition, cube_to_json, isomax_table
 from prism.liegroups import O2
@@ -105,6 +105,23 @@ def test_finite_group_spec(tmp_path, capsys):
     assert code == 0 and out == "true\n"
     code, out, _ = run(capsys, "heights", "finite:%s" % path)
     assert out == "1 0\nS3 0\n"
+
+
+def test_finite_class_named_like_a_shared_key(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"classes": [{"id": "e", "weylOrder": 2}, {"id": "G", "weylOrder": 1}]}))
+    code, out, err = run(capsys, "cube", "finite:%s" % path)
+    assert code == 0 and err == ""
+    assert "G ~ D(Q)\n" in out and "e ~ D(Q[W2])\n" in out
+
+
+def test_closed_sets_past_the_class_limit(monkeypatch, capsys):
+    code, out, _ = run(capsys, "closed-sets", "torus:2", "--bound", "2")
+    assert code == 0 and out.startswith("4097 clopen down-set classes\n")
+    monkeypatch.setattr(priestley, "CLOPEN_MAX_CLASSES", 4096)
+    code, out, err = run(capsys, "closed-sets", "torus:2", "--bound", "2")
+    assert code == 1 and out == ""
+    assert err == "ValueError: more than 4096 clopen down-set classes\n"
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -35,6 +35,7 @@ from prism import (
     burnside_rank,
     cotoral_le,
     count_simple_summands,
+    dimension_candidate,
     finite_group_from_json,
     finite_weyl_criterion,
     flagged_snapshot,
@@ -57,6 +58,7 @@ from prism import (
     weyl_data,
 )
 from prism import intlinalg as la
+from prism.cube import build_decomposition
 from prism.liegroups import _snapshot_data
 from prism.oracles import CATALOG_SWEEP, check_cotoral_order, check_snf_torsion
 
@@ -450,7 +452,7 @@ PINNED_TABLES = [
         FiniteIdx(2): ("C3", 0, WeylData("1", 2, "C2"), 0, 0),
     }),
     (NSU3T, {
-        FullKey(): ("G", 1, WeylData("1", 1, "1"), KeyMismatch, KeyMismatch),
+        FullKey(): ("G", 1, WeylData("1", 1, "1"), 2, 2),
     }),
 ]
 
@@ -524,6 +526,29 @@ def test_parse_key_errors_and_reuse():
         first = parse_key(group, name)
         assert parse_key(group, name) == first
         assert key_name(group, first) == name
+
+
+def test_finite_class_names_shadow_the_shared_vocabulary():
+    # class ids a circle or a torus would read as its own keys
+    group = FiniteGroup((FiniteClass("e", 2), FiniteClass("C(2)", 1), FiniteClass("G", 1)))
+    for i, name in enumerate(["e", "C(2)", "G"]):
+        assert parse_key(group, name) == FiniteIdx(i)
+        assert key_name(group, parse_key(group, name)) == name
+    space = flagged_snapshot(group, 1)
+    assert dimension_candidate(group, space).values == {"e": 0, "C(2)": 0, "G": 0}
+    (node,) = build_decomposition(group, 1).nodes.values()
+    assert node.factor_labels == ("C(2) ~ D(Q)", "G ~ D(Q)", "e ~ D(Q[W2])")
+    # the shared vocabulary still serves the other groups
+    assert parse_key(Circle(), "G") == FullKey() and parse_key(Circle(), "C(2)") == Cyc(2)
+
+
+def test_toral_semidirect_dimension_and_rank():
+    o2 = ToralSemidirect(1, (((-1,),),), ((0, 0),))
+    for group, r in [(NSU3T, 2), (o2, 1), (ToralSemidirect(3, ()), 3)]:
+        assert key_dimension(group, FullKey()) == r
+        assert key_rank(group, FullKey()) == r
+        with pytest.raises(KeyMismatch):
+            key_dimension(group, DualLattice(r, ((2,) + (0,) * (r - 1),)))
 
 
 def test_action_entries_must_be_integers():

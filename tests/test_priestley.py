@@ -21,6 +21,7 @@ from prism import (
     SymbolicSet,
     clopen_down_sets,
     convergent_sequence_space,
+    down_closure_symbolic,
     down_sets,
     flagged_from_json,
     flagged_to_json,
@@ -32,6 +33,7 @@ from prism import (
     specialization_order,
     spectral_of_priestley,
     thomason_points,
+    up_closure_symbolic,
 )
 from prism.priestley import realize_in_truncation
 
@@ -290,33 +292,132 @@ def per_point_clopen_down_sets(space):
     return tuple(out)
 
 
+def random_clash_space(rng, max_families):
+    """A seeded flagged space on points p0, p1, ... whose order pairs rise
+    in index, or None when its families close a cycle.  Limits and bounds
+    are drawn independently, so many member profiles clash."""
+    n = rng.randint(2, 9)
+    pts = ["p%d" % i for i in range(n)]
+    order = [(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    fams = []
+    for k in range(rng.randint(0, max_families)):
+        cut = rng.randint(0, n)
+        fams.append(AccumulationFamily(
+            id="f%d" % k,
+            limit=rng.choice(pts),
+            member_order=DESCENDING if rng.random() < 0.3 else ANTICHAIN,
+            member_gt=frozenset(p for p in pts[:cut] if rng.random() < 0.4),
+            member_lt=frozenset(p for p in pts[cut:] if rng.random() < 0.4),
+        ))
+    try:
+        return FlaggedPriestley(frozenset(pts), order, tuple(fams))
+    except ValueError:
+        return None
+
+
 def test_clopen_classes_match_per_point_closure():
     rng = random.Random(8080)
     spaces = [circle_model(), dihedral_model()]
-    while len(spaces) < 200:
-        n = rng.randint(2, 9)
-        pts = ["p%d" % i for i in range(n)]
-        order = [(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
-        fams = []
-        for k in range(rng.randint(0, 5)):
-            cut = rng.randint(0, n)
-            fams.append(AccumulationFamily(
-                id="f%d" % k,
-                limit=rng.choice(pts),
-                member_order=DESCENDING if rng.random() < 0.3 else ANTICHAIN,
-                member_gt=frozenset(p for p in pts[:cut] if rng.random() < 0.4),
-                member_lt=frozenset(p for p in pts[cut:] if rng.random() < 0.4),
-            ))
-        try:
-            spaces.append(FlaggedPriestley(frozenset(pts), order, tuple(fams)))
-        except ValueError:
-            continue
-    kept = 0
+    while len(spaces) < 260:
+        # the last 60 spaces have up to ten families, 1024 member profiles
+        space = random_clash_space(rng, 5 if len(spaces) < 200 else 10)
+        if space is not None:
+            spaces.append(space)
+    kept = profiles = 0
     for space in spaces:
         classes = clopen_down_sets(space)
         assert classes == per_point_clopen_down_sets(space)
         kept += len(classes)
-    assert kept > len(spaces)
+        profiles += 1 << len(space.families)
+    assert len(spaces) < kept < profiles // 10
+
+
+def former_is_down_set(poset, subset):
+    """The former down-set test: every principal down-set in the set."""
+    return all(poset.down_closure(p) <= subset for p in subset)
+
+
+def former_is_up_set(poset, subset):
+    return all(poset.up_closure(p) <= subset for p in subset)
+
+
+def former_symbolic_is_down_set(sym, space):
+    """The former ``SymbolicSet.is_down_set``, scanning principal down-sets."""
+    if not former_is_down_set(space, sym.concrete):
+        return False
+    for f in space.families:
+        tag = sym.portion(f.id)
+        if tag != EMPTY and not f.member_gt <= sym.concrete:
+            return False
+        if f.member_lt & sym.concrete and tag != ALL:
+            return False
+        if f.member_order == DESCENDING and tag == FINITE:
+            return False
+    return True
+
+
+def former_symbolic_is_up_set(sym, space):
+    if not former_is_up_set(space, sym.concrete):
+        return False
+    for f in space.families:
+        tag = sym.portion(f.id)
+        if tag != EMPTY and not f.member_lt <= sym.concrete:
+            return False
+        if f.member_gt & sym.concrete and tag != ALL:
+            return False
+        if f.member_order == DESCENDING and tag == COFINITE:
+            return False
+    return True
+
+
+def random_symbolic_set(rng, space):
+    """A seeded symbolic set: random, or a union of symbolic closures of
+    random points with a few tags and points changed, so that down- and
+    up-sets come up as often as sets that are neither."""
+    tags = (EMPTY, FINITE, COFINITE, ALL)
+    pts = sorted(space.concrete)
+    kind = rng.randrange(3)
+    if kind == 0:
+        concrete = {p for p in pts if rng.random() < 0.5}
+        portions = {f.id: rng.choice(tags) for f in space.families}
+    else:
+        closure = down_closure_symbolic if kind == 1 else up_closure_symbolic
+        concrete, portions = set(), {}
+        for p in rng.sample(pts, rng.randint(1, len(pts))):
+            part = closure(space, p)
+            concrete |= part.concrete
+            portions.update(part.portions)
+        if rng.random() < 0.5:
+            concrete ^= {rng.choice(pts)}
+        if space.families and rng.random() < 0.5:
+            portions[rng.choice(space.family_ids())] = rng.choice(tags)
+    return SymbolicSet(frozenset(concrete), portions)
+
+
+def test_predicates_match_former_definitions():
+    rng = random.Random(1018)
+    seen = set()
+    spaces = 0
+    while spaces < 150:
+        space = random_clash_space(rng, 6)
+        if space is None:
+            continue
+        spaces += 1
+        truncated = instantiate(space, 3)
+        for _ in range(12):
+            sym = random_symbolic_set(rng, space)
+            assert sym.is_open(space) == sym.complement(space).is_closed(space)
+            down, up = sym.is_down_set(space), sym.is_up_set(space)
+            assert down == former_symbolic_is_down_set(sym, space)
+            assert up == former_symbolic_is_up_set(sym, space)
+            assert space.is_down_set(sym.concrete) == former_is_down_set(space, sym.concrete)
+            assert space.is_up_set(sym.concrete) == former_is_up_set(space, sym.concrete)
+            # three members per family tell every tag apart
+            finite = realize_in_truncation(space, sym, 3)
+            assert truncated.is_down_set(finite) == former_is_down_set(truncated, finite) == down
+            assert truncated.is_up_set(finite) == former_is_up_set(truncated, finite) == up
+            seen.add((down, up, sym.is_open(space)))
+    assert len(seen) == 8
 
 
 # ---------------------------------------------------------------------------
