@@ -34,13 +34,13 @@ from .errors import ChecksFailed, InconsistentHint
 from .priestley import (
     ALL,
     ANTICHAIN,
-    COFINITE,
     DESCENDING,
     EMPTY,
     FinitePriestley,
     FlaggedPriestley,
     SymbolicSet,
-    _assemble,
+    _as_flagged,
+    _forced_closure,
     _kahn,
     _subspace,
     restrict,
@@ -83,12 +83,6 @@ class DispersionCandidate:
 
 # ---------------------------------------------------------------------------
 # derivative and heights
-
-
-def _as_flagged(space):
-    if isinstance(space, FinitePriestley):
-        return _assemble(FlaggedPriestley, space.points, space.covers)
-    return space
 
 
 def thomason_derivative(space):
@@ -295,42 +289,22 @@ def strata(space, candidate, level):
 def weakly_visible(space, point):
     """Witness that {point} = (up-closure) & (clopen down-set), or None.
 
-    Grows the minimal clopen down-set containing the point: the down
-    closure is forced, a family whose limit lands inside must contribute
-    at least a cofinite tail, and tails drag in their lower bounds.  Every
-    growth step is forced for any clopen down-set containing the point, so
-    failure of the minimal candidate settles non-visibility.
+    The witness is the least clopen down-set containing the point, grown by
+    ``_forced_closure`` under its "visible" rule: members below a point
+    inside are all in, a limit inside takes a cofinite tail at least, and
+    either forces the down-closures of the limit and the member_gt.  Each
+    step is forced for any clopen down-set containing the point, so failure
+    of the least one settles non-visibility, and the witness meeting the
+    up-closure outside the point settles it as soon as it happens.
     """
     space = _as_flagged(space)
     up = up_closure_symbolic(space, point)
-    concrete = set(space.down_closure(point))
-    tags = {}
-    changed = True
-    while changed:
-        changed = False
-        for f in space.families:
-            if f.member_lt & concrete and tags.get(f.id) != ALL:
-                tags[f.id] = ALL
-                changed = True
-            if f.limit in concrete and f.id not in tags:
-                tags[f.id] = COFINITE
-                changed = True
-            if tags.get(f.id) is not None:
-                # closedness forces the limit in, down-closure its cone
-                forced = f.member_gt | {f.limit}
-                if not forced <= concrete:
-                    for g in forced:
-                        concrete |= space.down_closure(g)
-                    changed = True
-    witness = SymbolicSet(frozenset(concrete), tags)
-    if not (witness.is_clopen(space) and witness.is_down_set(space)):
+    witness = _forced_closure(space, point, "visible", up.concrete - {point})
+    if witness is None or not (witness.is_clopen(space) and witness.is_down_set(space)):
         return None
-    # intersection with the up-closure must be exactly the point
-    if (witness.concrete & up.concrete) != {point}:
+    # no family may have members in both (SymbolicSet drops empty tags)
+    if not witness._tags.keys().isdisjoint(up._tags):
         return None
-    for f in space.families:
-        if witness.portion(f.id) != EMPTY and up.portion(f.id) != EMPTY:
-            return None
     return witness
 
 
@@ -345,6 +319,7 @@ def gen_closure(space, point):
     point, i.e. the point is one of their declared lower bounds; the
     result carries the induced order.
     """
+    space = _as_flagged(space)
     return restrict(
         space,
         up_closure_symbolic(space, point).concrete,
@@ -360,6 +335,7 @@ def is_generically_noetherian(space):
     and an inherited family breaks the condition when its limit does not
     dominate its members.
     """
+    space = _as_flagged(space)
     return not any(
         f.limit not in f.member_lt
         and any(f.limit in up_closure_symbolic(space, p).concrete for p in f.member_gt)

@@ -138,6 +138,7 @@ class _OrderIndex:
     fields, so equality, hashing and ``dataclasses.replace`` see only the
     fields.  The down- and up-set tests read the cover lists, so they cost
     the covers at the points of the set, not their principal closures.
+    Flagged spaces keep their trigger index (``_triggers``) the same way.
     """
 
     def __getattr__(self, name):
@@ -423,6 +424,36 @@ class FlaggedPriestley(_OrderIndex):
             blocked |= f.member_lt
         return self._minimal(p for p in self.concrete if p not in blocked)
 
+    def _triggers(self):
+        """The trigger index of ``_forced_closure``, kept like the order
+        index.  Per rule, maps from a point to the families it fires, with
+        the tag each gives, and the points that fire some family: going
+        "down", the families whose member_lt hold the point; going "up",
+        those whose member_gt hold it; "visible" adds those it is limit of."""
+        index = self.__dict__.get("_trigger_index")
+        if index is None:
+            lt, gt, limit = {}, {}, {}
+            for f in self.families:
+                for q in f.member_lt:
+                    lt.setdefault(q, []).append(f)
+                for q in f.member_gt:
+                    gt.setdefault(q, []).append(f)
+                limit.setdefault(f.limit, []).append(f)
+            index = {
+                "down": (((lt, ALL),), frozenset(lt)),
+                "up": (((gt, ALL),), frozenset(gt)),
+                "visible": (((lt, ALL), (limit, COFINITE)), frozenset(lt).union(limit)),
+            }
+            object.__setattr__(self, "_trigger_index", index)
+        return index
+
+
+def _as_flagged(space):
+    """A finite poset as a flagged space without families."""
+    if isinstance(space, FinitePriestley):
+        return _assemble(FlaggedPriestley, space.points, space.covers)
+    return space
+
 
 # ---------------------------------------------------------------------------
 # symbolic subsets of a flagged space
@@ -476,7 +507,13 @@ class SymbolicSet:
         return True
 
     def is_clopen(self, space):
-        return self.is_closed(space) and self.is_open(space)
+        """Closed and open: a family has infinitely many members inside
+        exactly when its limit is inside."""
+        tags, concrete = self._tags, self.concrete
+        for f in space.families:
+            if (tags.get(f.id) in _INFINITE) != (f.limit in concrete):
+                return False
+        return True
 
     def is_down_set(self, space):
         concrete = self.concrete
@@ -514,37 +551,56 @@ class SymbolicSet:
         return parts + (" / members: {%s}" % fams if fams else "")
 
 
-def _symbolic_closure(space, p, down):
-    """Everything below (``down``) or above ``p``, member-mediated
-    relations included: a family with a bound on the near side of its
-    members inside (above them when going down) contributes all its
-    members, and the bounds on their far side join with their closures."""
+def _forced_closure(space, p, rule="down", avoid=frozenset()):
+    """The least symbolic set holding the down-set of ``p`` (its up-set
+    under the rule "up") and closed under the family rules; None as soon
+    as it meets ``avoid``.
+
+    A family fires when a point on the near side of its members joins the
+    set: it is tagged ``all``, and the closures of its far bounds join.
+    Under "visible" its limit joining fires it too, tagged ``cofinite``
+    unless it has a tag, and either tag forces the limit in as well.  One
+    worklist over the space's trigger index drives the rules.  Of the
+    points a closure adds, only those that fire some family are pushed; a
+    far bound already inside is skipped with its closure, as the set is a
+    union of principal closures; each family fires at most once per tag.
+    A finite poset is read as a flagged space without families.
+    """
+    space = _as_flagged(space)
+    rules, watch = space._triggers()[rule]
+    down = rule != "up"
     closure = space.down_closure if down else space.up_closure
-    concrete = set(closure(p))
-    tags = {}
-    changed = True
-    while changed:
-        changed = False
-        for f in space.families:
-            near, far = (f.member_lt, f.member_gt) if down else (f.member_gt, f.member_lt)
-            if near & concrete and tags.get(f.id) != ALL:
-                tags[f.id] = ALL
-                changed = True
-            if tags.get(f.id) == ALL and not far <= concrete:
-                for q in far:
-                    concrete |= closure(q)
-                changed = True
+    start = closure(p)
+    if not start.isdisjoint(avoid):
+        return None
+    concrete, stack, tags = set(start), list(start & watch), {}
+    while stack:
+        q = stack.pop()
+        for fired, tag in rules:
+            for f in fired.get(q, ()):
+                old = tags.get(f.id)
+                if old is ALL or old is tag:
+                    continue
+                tags[f.id] = tag
+                far = f.member_gt if down else f.member_lt
+                for r in (*far, f.limit) if rule == "visible" else far:
+                    if r not in concrete:
+                        new = closure(r) - concrete
+                        if not new.isdisjoint(avoid):
+                            return None
+                        concrete |= new
+                        stack.extend(new & watch)
     return SymbolicSet(frozenset(concrete), tags)
 
 
 def down_closure_symbolic(space, p):
     """Everything below ``p``, member-mediated relations included."""
-    return _symbolic_closure(space, p, down=True)
+    return _forced_closure(space, p)
 
 
 def up_closure_symbolic(space, p):
     """Everything above ``p``, member-mediated relations included."""
-    return _symbolic_closure(space, p, down=False)
+    return _forced_closure(space, p, "up")
 
 
 # ---------------------------------------------------------------------------
@@ -688,19 +744,24 @@ def clopen_down_sets(space):
     # families are sorted by id, so each class's pairs are too
     pairs = [{t: (f.id, t) for t in (EMPTY, FINITE, COFINITE, ALL)} for f in fams]
     out = []
-    # (families left undecided, required, excluded, profile so far); an
-    # explicit stack, as a recursive closure would keep ``out`` alive in a
-    # reference cycle until the cyclic collector runs
-    stack = [(len(fams), frozenset(), frozenset(), 0)]
+    # (families left undecided, required, excluded, the points in neither,
+    # profile so far); a branch whose forced share is in already keeps its
+    # parent's sets.  An explicit stack, as a recursive closure would keep
+    # ``out`` alive in a reference cycle until the cyclic collector runs
+    stack = [(len(fams), frozenset(), frozenset(), space.concrete, 0)]
     while stack:
-        i, required, excluded, profile = stack.pop()
+        i, required, excluded, optional, profile = stack.pop()
         if i:
             i -= 1
             down, up = pulled_in[i], pushed_out[i]
-            if down.isdisjoint(excluded):
-                stack.append((i, required | down, excluded, profile | 1 << i))
-            if up.isdisjoint(required):
-                stack.append((i, required, excluded | up, profile))
+            if down <= required:
+                stack.append((i, required, excluded, optional, profile | 1 << i))
+            elif down.isdisjoint(excluded):
+                stack.append((i, required | down, excluded, optional - down, profile | 1 << i))
+            if up <= excluded:
+                stack.append((i, required, excluded, optional, profile))
+            elif up.isdisjoint(required):
+                stack.append((i, required, excluded | up, optional - up, profile))
             continue
         tags = []
         for j, f in enumerate(fams):
@@ -715,7 +776,7 @@ def clopen_down_sets(space):
             raise ValueError(
                 "more than %d clopen down-set classes" % CLOPEN_MAX_CLASSES
             )
-        out.append(ClopenDownClass(tuple(tags), required, space.concrete - required - excluded))
+        out.append(ClopenDownClass(tuple(tags), required, optional))
     return tuple(out)
 
 

@@ -1,0 +1,150 @@
+"""The forced closures against their round-based reference loops.
+
+Both symbolic closures and the weak-visibility witness are grown by one
+worklist over a trigger index.  The references below are the loops they
+replace: each round rescans every family until nothing changes.  The
+worklist must give the same symbolic sets, tags and witnesses.
+"""
+
+import random
+
+from prism import (
+    ALL,
+    COFINITE,
+    FinitePriestley,
+    FlaggedPriestley,
+    SymbolicSet,
+    Torus,
+    down_closure_symbolic,
+    flagged_snapshot,
+    gen_closure,
+    is_generically_noetherian,
+    up_closure_symbolic,
+    weakly_visible,
+)
+from prism.oracles import catalog_spaces
+
+from test_dispersion import random_flagged_space
+from test_priestley import random_clash_space
+
+
+def reference_symbolic_closure(space, p, down):
+    """The former round-based symbolic closure."""
+    closure = space.down_closure if down else space.up_closure
+    concrete = set(closure(p))
+    tags = {}
+    changed = True
+    while changed:
+        changed = False
+        for f in space.families:
+            near, far = (f.member_lt, f.member_gt) if down else (f.member_gt, f.member_lt)
+            if near & concrete and tags.get(f.id) != ALL:
+                tags[f.id] = ALL
+                changed = True
+            if tags.get(f.id) == ALL and not far <= concrete:
+                for q in far:
+                    concrete |= closure(q)
+                changed = True
+    return SymbolicSet(frozenset(concrete), tags)
+
+
+def reference_weakly_visible(space, point):
+    """The former round-based weak-visibility witness, or None."""
+    up = reference_symbolic_closure(space, point, down=False)
+    concrete = set(space.down_closure(point))
+    tags = {}
+    changed = True
+    while changed:
+        changed = False
+        for f in space.families:
+            if f.member_lt & concrete and tags.get(f.id) != ALL:
+                tags[f.id] = ALL
+                changed = True
+            if f.limit in concrete and f.id not in tags:
+                tags[f.id] = COFINITE
+                changed = True
+            if tags.get(f.id) is not None:
+                forced = f.member_gt | {f.limit}
+                if not forced <= concrete:
+                    for g in forced:
+                        concrete |= space.down_closure(g)
+                    changed = True
+    witness = SymbolicSet(frozenset(concrete), tags)
+    if not (witness.is_clopen(space) and witness.is_down_set(space)):
+        return None
+    if (witness.concrete & up.concrete) != {point}:
+        return None
+    for f in space.families:
+        if witness.portion(f.id) != "empty" and up.portion(f.id) != "empty":
+            return None
+    return witness
+
+
+def assert_closures_match(space, points):
+    for p in points:
+        assert down_closure_symbolic(space, p) == reference_symbolic_closure(space, p, True), p
+        assert up_closure_symbolic(space, p) == reference_symbolic_closure(space, p, False), p
+
+
+def assert_visibility_matches(space, points):
+    """Witnesses equal the reference's; returns how many points are
+    visible."""
+    visible = 0
+    for p in points:
+        witness = weakly_visible(space, p)
+        assert witness == reference_weakly_visible(space, p), p
+        visible += witness is not None
+    return visible
+
+
+def seeded_random_spaces():
+    rng = random.Random(1111)
+    spaces = []
+    while len(spaces) < 300:
+        space = random_clash_space(rng, 6)
+        if space is not None:
+            spaces.append(space)
+    rng = random.Random(2222)
+    spaces += [random_flagged_space(rng) for _ in range(300)]
+    return spaces
+
+
+def test_random_spaces_match_reference_loops():
+    points = visible = 0
+    for space in seeded_random_spaces():
+        pts = sorted(space.concrete)
+        assert_closures_match(space, pts)
+        visible += assert_visibility_matches(space, pts)
+        points += len(pts)
+    # both answers come up often
+    assert 0.2 * points < visible < 0.9 * points
+
+
+def test_catalog_snapshots_match_reference_loops():
+    for space in catalog_spaces():
+        pts = sorted(space.concrete)
+        assert_closures_match(space, pts)
+        assert_visibility_matches(space, pts)
+
+
+def test_torus3_bound3_matches_reference_loops():
+    space = flagged_snapshot(Torus(3), 3)
+    pts = sorted(space.concrete)
+    assert (len(pts), len(space.families)) == (1450, 1198)
+    assert_closures_match(space, pts)
+    sample = random.Random(33).sample(pts, 120)
+    assert assert_visibility_matches(space, sample) == len(sample)
+
+
+def test_closures_on_a_finite_poset():
+    poset = FinitePriestley(frozenset("ab"), [("a", "b")])
+    whole = SymbolicSet(frozenset("ab"))
+    assert down_closure_symbolic(poset, "b") == whole
+    assert down_closure_symbolic(poset, "a") == SymbolicSet(frozenset("a"))
+    assert up_closure_symbolic(poset, "a") == whole
+    assert up_closure_symbolic(poset, "b") == SymbolicSet(frozenset("b"))
+    assert gen_closure(poset, "a") == FlaggedPriestley(frozenset("ab"), [("a", "b")])
+    assert gen_closure(poset, "b") == FlaggedPriestley(frozenset("b"), [])
+    assert is_generically_noetherian(poset)
+    assert weakly_visible(poset, "a") == SymbolicSet(frozenset("a"))
+    assert weakly_visible(poset, "b") == whole

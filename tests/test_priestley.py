@@ -407,6 +407,7 @@ def test_predicates_match_former_definitions():
         for _ in range(12):
             sym = random_symbolic_set(rng, space)
             assert sym.is_open(space) == sym.complement(space).is_closed(space)
+            assert sym.is_clopen(space) == (sym.is_closed(space) and sym.is_open(space))
             down, up = sym.is_down_set(space), sym.is_up_set(space)
             assert down == former_symbolic_is_down_set(sym, space)
             assert up == former_symbolic_is_up_set(sym, space)
