@@ -38,14 +38,8 @@ from .cube import ISOMAX_MAX_N
 from .cube import build_decomposition, cube_to_dot, cube_to_json, cube_to_text, isomax_table
 
 
-def _is_group_spec(spec):
-    return spec in ("circle", "o2", "so3", "nsu3t") or spec.startswith(
-        ("torus:", "finite:", "semidirect:")
-    )
-
-
 def _resolve_space(spec, bound):
-    if _is_group_spec(spec):
+    if liegroups.is_group_spec(spec):
         return liegroups.flagged_snapshot(liegroups.group_from_spec(spec), bound)
     with open(spec, encoding="utf-8") as fh:
         return priestley.flagged_from_json(fh.read())
@@ -179,41 +173,29 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, space_arg=None, fmt=None):
-        if space_arg:
-            p.add_argument(space_arg)
-        p.add_argument("--bound", type=int, default=4)
+    def common(name, text, *positionals, bound=True, fmt=None):
+        p = sub.add_parser(name, help=text)
+        for arg in positionals:
+            p.add_argument(arg)
+        if bound:
+            p.add_argument("--bound", type=int, default=4)
         if fmt:
             p.add_argument("--format", choices=fmt, default="text")
         p.add_argument("--out", default=None)
+        return p
 
-    common(sub.add_parser("show", help="describe a space"), "space")
-    common(
-        sub.add_parser("heights", help="Thomason height table"),
-        "space",
-        fmt=("text", "json"),
+    common("show", "describe a space", "space")
+    common("heights", "Thomason height table", "space", fmt=("text", "json"))
+    common("check-dispersion", "test a candidate dispersion", "space", "candidate")
+    common("closed-sets", "clopen down-set classes", "space")
+    common("noetherian", "Noetherian verdict for a group", "group", bound=False)
+    common("cube", "decomposition diagram", "group", fmt=("text", "dot", "json"))
+    common("isomax", "isomax dimension table", bound=False).add_argument(
+        "n", type=int, help="0 <= n <= %d" % ISOMAX_MAX_N
     )
-    p = sub.add_parser("check-dispersion", help="test a candidate dispersion")
-    p.add_argument("space")
-    p.add_argument("candidate")
-    p.add_argument("--bound", type=int, default=4)
-    p.add_argument("--out", default=None)
-    common(sub.add_parser("closed-sets", help="clopen down-set classes"), "space")
-    p = sub.add_parser("noetherian", help="Noetherian verdict for a group")
-    p.add_argument("group")
-    p.add_argument("--out", default=None)
-    common(
-        sub.add_parser("cube", help="decomposition diagram"),
-        None,
-        fmt=("text", "dot", "json"),
+    common("oracle", "run brute-force cross-checks", bound=False).add_argument(
+        "suite", choices=sorted(oracles.SUITES) + ["all"]
     )
-    sub.choices["cube"].add_argument("group")
-    p = sub.add_parser("isomax", help="isomax dimension table")
-    p.add_argument("n", type=int, help="0 <= n <= %d" % ISOMAX_MAX_N)
-    p.add_argument("--out", default=None)
-    p = sub.add_parser("oracle", help="run brute-force cross-checks")
-    p.add_argument("suite", choices=sorted(oracles.SUITES) + ["all"])
-    p.add_argument("--out", default=None)
 
     handlers = {
         "show": _cmd_show,

@@ -105,22 +105,26 @@ def classify_edge(phi, j, n):
     return Laxness(j - m - 1)
 
 
+def _nonempty_subsets(n):
+    """The nonempty subsets of {0..n} as sorted tuples, by size and then
+    lexicographically."""
+    return [s for k in range(1, n + 2) for s in combinations(range(n + 1), k)]
+
+
 def punctured_cube(n):
-    """The poset of nonempty subsets of {0..n}, ordered by inclusion."""
+    """The poset of nonempty subsets of {0..n}, ordered by inclusion,
+    given by its covers: each subset lies below its one-element
+    extensions."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    elements = list(range(n + 1))
-    subsets = []
-    for k in range(1, n + 2):
-        subsets.extend(combinations(elements, k))
-    points = frozenset(subset_name(s) for s in subsets)
-    order = frozenset(
-        (subset_name(a), subset_name(b))
+    subsets = _nonempty_subsets(n)
+    covers = frozenset(
+        (subset_name(a), subset_name(tuple(sorted(a + (j,)))))
         for a in subsets
-        for b in subsets
-        if set(a) <= set(b)
+        for j in range(n + 1)
+        if j not in a
     )
-    return FinitePriestley(points, order)
+    return FinitePriestley(frozenset(map(subset_name, subsets)), covers)
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +221,14 @@ def decomposition_of(group, snapshot, heights):
         )
     nodes = {}
     edges = {}
-    elements = list(range(n + 1))
-    subsets = []
-    for k in range(1, n + 2):
-        subsets.extend(combinations(elements, k))
-    for phi in subsets:
+    for phi in _nonempty_subsets(n):
         stratum = max(phi)
         nodes[phi] = CubeNode(
             cube_dim=isomax_dim(phi, n),
             stratum=stratum,
             factor_labels=tuple(sorted(strata_labels.get(stratum, []))),
         )
-        for j in elements:
+        for j in range(n + 1):
             if j not in phi:
                 edges[(phi, j)] = classify_edge(phi, j, n)
     return CubeDiagram(n, nodes, edges)
@@ -343,11 +343,7 @@ def isomax_table(n):
     if not 0 <= n <= ISOMAX_MAX_N:
         raise ValueError("isomax needs 0 <= n <= %d, got %d" % (ISOMAX_MAX_N, n))
     lines = []
-    elements = list(range(n + 1))
-    subsets = []
-    for k in range(1, n + 2):
-        subsets.extend(combinations(elements, k))
-    for phi in sorted(subsets, key=lambda s: (len(s), s)):
+    for phi in _nonempty_subsets(n):
         members = isomax_members(phi, n)
         lines.append(
             "%s l=%d members={%s}"

@@ -39,7 +39,6 @@ from .priestley import (
     FinitePriestley,
     FlaggedPriestley,
     SymbolicSet,
-    _as_flagged,
     _forced_closure,
     _kahn,
     _subspace,
@@ -93,11 +92,9 @@ def thomason_derivative(space):
     minimal and unhinted; surviving families see removed points dropped
     from their bounds and positive hints decremented.
     """
-    if isinstance(space, FinitePriestley):
-        gone = space.minimal_points()
-        keep = space.points - gone
-        return _subspace(space, keep)
     tp = thomason_points(space)
+    if isinstance(space, FinitePriestley):  # its Thomason points are a plain set
+        tp = SymbolicSet(tp)
     keep = space.concrete - tp.concrete
     consumed = {fid for fid, tag in tp.portions}
     families = (
@@ -111,7 +108,7 @@ def thomason_derivative(space):
         for f in space.families
         if f.id not in consumed
     )
-    return _subspace(space, keep, families)
+    return _subspace(type(space), space, keep, families)
 
 
 def _structural_floor(space, f, heights):
@@ -123,7 +120,6 @@ def _structural_floor(space, f, heights):
 
 def thomason_heights(space):
     """Longest-path heights; infinite values mean not dispersible there."""
-    space = _as_flagged(space)
     value = dict.fromkeys(space.concrete, 0)
     succ = {p: [] for p in space.concrete}
     for f in space.families:
@@ -172,8 +168,6 @@ def trivialize(space):
 
 def cb_heights(space):
     """Cantor-Bendixson heights: Thomason heights of the trivialized space."""
-    if isinstance(space, FinitePriestley):
-        return HeightAssignment({p: 0 for p in space.points}, {})
     return thomason_heights(trivialize(space))
 
 
@@ -297,7 +291,6 @@ def weakly_visible(space, point):
     of the least one settles non-visibility, and the witness meeting the
     up-closure outside the point settles it as soon as it happens.
     """
-    space = _as_flagged(space)
     up = up_closure_symbolic(space, point)
     witness = _forced_closure(space, point, "visible", up.concrete - {point})
     if witness is None or not (witness.is_clopen(space) and witness.is_down_set(space)):
@@ -319,7 +312,6 @@ def gen_closure(space, point):
     point, i.e. the point is one of their declared lower bounds; the
     result carries the induced order.
     """
-    space = _as_flagged(space)
     return restrict(
         space,
         up_closure_symbolic(space, point).concrete,
@@ -335,7 +327,6 @@ def is_generically_noetherian(space):
     and an inherited family breaks the condition when its limit does not
     dominate its members.
     """
-    space = _as_flagged(space)
     return not any(
         f.limit not in f.member_lt
         and any(f.limit in up_closure_symbolic(space, p).concrete for p in f.member_gt)

@@ -120,10 +120,6 @@ def solve_in_lattice(hnf_rows, vector):
     return tuple(coeffs)
 
 
-def lattice_contains(hnf_rows, vector):
-    return solve_in_lattice(hnf_rows, vector) is not None
-
-
 def snf_invariant_factors(m):
     """Nonzero invariant factors of an integer matrix, ascending divisibility."""
     work = [list(r) for r in m]

@@ -927,6 +927,22 @@ def toral_semidirect_from_json(text):
     return ToralSemidirect(data["rank"], gens, rels)
 
 
+# the group identifiers: names, and kinds read as "<kind>:<argument>", each
+# made from the argument and a function reading a file's text
+_GROUP_NAMES = {"circle": Circle, "o2": O2, "so3": SO3, "nsu3t": lambda: NSU3T}
+_GROUP_KINDS = {
+    "torus": lambda arg, read_file: Torus(int(arg)),
+    "finite": lambda arg, read_file: finite_group_from_json(read_file(arg)),
+    "semidirect": lambda arg, read_file: toral_semidirect_from_json(read_file(arg)),
+}
+
+
+def is_group_spec(spec):
+    """Whether ``spec`` is in the vocabulary of ``group_from_spec``."""
+    kind, colon, _ = spec.partition(":")
+    return spec in _GROUP_NAMES or bool(colon) and kind in _GROUP_KINDS
+
+
 def group_from_spec(spec, read_file=None):
     """Resolve a CLI group identifier like ``circle`` or ``torus:2``."""
     if read_file is None:
@@ -934,18 +950,9 @@ def group_from_spec(spec, read_file=None):
             with open(path, encoding="utf-8") as fh:
                 return fh.read()
 
-    if spec == "circle":
-        return Circle()
-    if spec == "o2":
-        return O2()
-    if spec == "so3":
-        return SO3()
-    if spec == "nsu3t":
-        return NSU3T
-    if spec.startswith("torus:"):
-        return Torus(int(spec.split(":", 1)[1]))
-    if spec.startswith("finite:"):
-        return finite_group_from_json(read_file(spec.split(":", 1)[1]))
-    if spec.startswith("semidirect:"):
-        return toral_semidirect_from_json(read_file(spec.split(":", 1)[1]))
+    if spec in _GROUP_NAMES:
+        return _GROUP_NAMES[spec]()
+    kind, colon, arg = spec.partition(":")
+    if colon and kind in _GROUP_KINDS:
+        return _GROUP_KINDS[kind](arg, read_file)
     raise KeyMismatch("unknown group identifier %r" % (spec,))

@@ -1,22 +1,23 @@
 """Finite spectral/Priestley spaces and finitely presented flagged models.
 
-Two kinds of spaces live here.
+One space class lives here.  ``FlaggedPriestley`` is a finite
+presentation of a countable Priestley space: finitely many concrete
+points with a partial order, plus "accumulation families".  A family
+stands for an infinite sequence of pairwise order-homogeneous members
+converging to a unique concrete limit (one-point-compactification
+behaviour: every infinite set of members accumulates exactly at the
+limit).  A member's order relations to the concrete points are declared
+wholesale: every point of ``member_lt`` sits strictly above every member,
+every point of ``member_gt`` strictly below.  Members of distinct
+families are incomparable by convention.
 
-``FinitePriestley`` is an honest finite poset: on a finite set the Stone
-topology is discrete, so a finite Priestley space carries no topological
-data beyond its order.  ``FiniteTopSpace`` holds a finite topology so the
-two directions of the finite Priestley correspondence can be computed
-(specialization order one way, up-set topology the other).
-
-``FlaggedPriestley`` is a finite presentation of a countable Priestley
-space: finitely many concrete points with a partial order, plus
-"accumulation families".  A family stands for an infinite sequence of
-pairwise order-homogeneous members converging to a unique concrete limit
-(one-point-compactification behaviour: every infinite set of members
-accumulates exactly at the limit).  A member's order relations to the
-concrete points are declared wholesale: every point of ``member_lt`` sits
-strictly above every member, every point of ``member_gt`` strictly below.
-Members of distinct families are incomparable by convention.
+A finite poset is a flagged space without families: on a finite set the
+Stone topology is discrete, so a finite Priestley space carries no
+topological data beyond its order.  ``FinitePriestley`` is that special
+case, a subclass that rejects families and names its points ``points``.
+``FiniteTopSpace`` holds a finite topology so the two directions of the
+finite Priestley correspondence can be computed (specialization order one
+way, up-set topology the other).
 
 Symbolic subsets of a flagged space record, besides an explicit concrete
 part, one portion tag per family: ``empty``, ``finite`` (a nonempty finite
@@ -26,7 +27,7 @@ depend only on this granularity.  A symbolic set is closed exactly when
 any family with infinitely many members inside has its limit inside; this
 finite rule is the decidable surrogate for closure in the modelled space.
 
-Both kinds store their order as its cover relation (the Hasse diagram,
+A space stores its order as its cover relation (the Hasse diagram,
 ``covers``): a finite partial order is fixed by its covers, so equality
 and hashing compare them.  The closed pair set ``order``, and the
 principal down- and up-sets, are built from the covers on first read.
@@ -40,6 +41,7 @@ their declared orientation.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations
 import json
 
@@ -126,95 +128,6 @@ def _cycle_pair(succ, indegree):
     return pred[p], p
 
 
-class _OrderIndex:
-    """Order queries shared by both kinds of spaces, read off ``covers``.
-
-    ``covers`` is the stored order.  The closed pair set ``order`` is no
-    stored field value: the constructor drops it from the instance and
-    ``__getattr__`` closes it again from the principal up-sets on first
-    read.  Principal down- and up-sets come from one index of both
-    directions, and cover lists per lower and per upper point from two
-    more; all are built from the covers on first use and are no dataclass
-    fields, so equality, hashing and ``dataclasses.replace`` see only the
-    fields.  The down- and up-set tests read the cover lists, so they cost
-    the covers at the points of the set, not their principal closures.
-    Flagged spaces keep their trigger index (``_triggers``) the same way.
-    """
-
-    def __getattr__(self, name):
-        if name != "order":
-            raise AttributeError(name)
-        order = frozenset((p, q) for p, s in self._down_up()[1].items() for q in s)
-        object.__setattr__(self, "order", order)
-        return order
-
-    def le(self, p, q):
-        return q in self.up_closure(p)
-
-    def _down_up(self):
-        index = self.__dict__.get("_index")
-        if index is None:
-            points = self._carrier
-            down = _transitive_closure(points, [(b, a) for (a, b) in self.covers])[1]
-            up = _transitive_closure(points, self.covers)[1]
-            index = (
-                {p: frozenset(s) for p, s in down.items()},
-                {p: frozenset(s) for p, s in up.items()},
-            )
-            object.__setattr__(self, "_index", index)
-        return index
-
-    def _covers_above(self):
-        """Lower point -> the cover pairs leaving it."""
-        above = self.__dict__.get("_above")
-        if above is None:
-            above = {}
-            for ab in self.covers:
-                above.setdefault(ab[0], []).append(ab)
-            object.__setattr__(self, "_above", above)
-        return above
-
-    def _covers_below(self):
-        """Upper point -> the points it covers."""
-        below = self.__dict__.get("_below")
-        if below is None:
-            below = {}
-            for (a, b) in self.covers:
-                below.setdefault(b, []).append(a)
-            object.__setattr__(self, "_below", below)
-        return below
-
-    def is_down_set(self, subset):
-        """Whether ``subset`` holds everything below its points.  By
-        transitivity it is enough that it holds the points they cover."""
-        below = self._covers_below()
-        for p in subset:
-            for a in below.get(p, ()):
-                if a not in subset:
-                    return False
-        return True
-
-    def is_up_set(self, subset):
-        """Whether ``subset`` holds everything above its points, read off
-        the covers as in ``is_down_set``."""
-        above = self._covers_above()
-        for p in subset:
-            for (_, b) in above.get(p, ()):
-                if b not in subset:
-                    return False
-        return True
-
-    def down_closure(self, p):
-        return self._down_up()[0].get(p, frozenset())
-
-    def up_closure(self, p):
-        return self._down_up()[1].get(p, frozenset())
-
-    def _minimal(self, points):
-        covered = {b for (a, b) in self.covers}
-        return frozenset(p for p in points if p not in covered)
-
-
 # ---------------------------------------------------------------------------
 # finite topological spaces
 
@@ -271,49 +184,15 @@ def specialization_order(space):
 # finite Priestley spaces
 
 
-@dataclass(frozen=True)
-class FinitePriestley(_OrderIndex):
-    """A finite poset; the Priestley topology on it is discrete.
-
-    ``order`` may be given as any relation; on construction it is checked
-    for antisymmetry and reduced to its covers, and its reflexive-transitive
-    closure is built again on first read of ``order``.
-    """
-
-    points: frozenset
-    order: frozenset = field(compare=False)
-    covers: frozenset = field(init=False, repr=False)
-
-    def __post_init__(self):
-        points = frozenset(self.points)
-        object.__setattr__(self, "points", points)
-        covers = _transitive_closure(points, set(map(tuple, self.order)))[0]
-        object.__setattr__(self, "covers", covers)
-        object.__delattr__(self, "order")
-
-    @property
-    def _carrier(self):
-        return self.points
-
-    def minimal_points(self):
-        return self._minimal(self.points)
-
-
 def priestley_of_spectral(space):
     """Finite Priestley space of a finite T0 (hence sober) space."""
     return FinitePriestley(space.points, specialization_order(space))
 
 
 def spectral_of_priestley(p):
-    """The spectral space of a finite Priestley space: opens are the up-sets."""
-    pts = sorted(p.points)
-    opens = set()
-    for k in range(len(pts) + 1):
-        for combo in combinations(pts, k):
-            s = frozenset(combo)
-            if p.is_up_set(s):
-                opens.add(s)
-    return FiniteTopSpace(p.points, frozenset(opens))
+    """The spectral space of a finite Priestley space: opens are the
+    up-sets, the complements of the down-sets."""
+    return FiniteTopSpace(p.points, frozenset(p.points - d for d in down_sets(p)))
 
 
 def down_sets(p):
@@ -371,8 +250,21 @@ class AccumulationFamily:
 
 
 @dataclass(frozen=True)
-class FlaggedPriestley(_OrderIndex):
-    """Finitely presented countable Priestley space: points plus families."""
+class FlaggedPriestley:
+    """Finitely presented countable Priestley space: points plus families.
+
+    ``order`` may be given as any relation; on construction it is checked
+    for antisymmetry and reduced to its covers, the stored order.  The
+    closed pair set ``order`` is no stored field value: the constructor
+    drops it from the instance and ``__getattr__`` closes it again from the
+    principal up-sets on first read.  Principal down- and up-sets come from
+    one index of both directions, cover lists per lower and per upper point
+    from two more, and the forced closures read a trigger index; all four
+    are cached properties built on first use, not dataclass fields, so
+    equality, hashing and ``dataclasses.replace`` see only the fields.  The
+    down- and up-set tests read the cover lists, so they cost the covers at
+    the points of the set, not their principal closures.
+    """
 
     concrete: frozenset
     order: frozenset = field(compare=False)
@@ -404,9 +296,66 @@ class FlaggedPriestley(_OrderIndex):
         object.__setattr__(self, "families", fams)
         object.__delattr__(self, "order")
 
-    @property
-    def _carrier(self):
-        return self.concrete
+    def __getattr__(self, name):
+        if name != "order":
+            raise AttributeError(name)
+        order = frozenset((p, q) for p, s in self._down_up[1].items() for q in s)
+        object.__setattr__(self, "order", order)
+        return order
+
+    def le(self, p, q):
+        return q in self.up_closure(p)
+
+    @cached_property
+    def _down_up(self):
+        down = _transitive_closure(self.concrete, [(b, a) for (a, b) in self.covers])[1]
+        up = _transitive_closure(self.concrete, self.covers)[1]
+        return (
+            {p: frozenset(s) for p, s in down.items()},
+            {p: frozenset(s) for p, s in up.items()},
+        )
+
+    @cached_property
+    def _covers_above(self):
+        """Lower point -> the cover pairs leaving it."""
+        above = {}
+        for ab in self.covers:
+            above.setdefault(ab[0], []).append(ab)
+        return above
+
+    @cached_property
+    def _covers_below(self):
+        """Upper point -> the points it covers."""
+        below = {}
+        for (a, b) in self.covers:
+            below.setdefault(b, []).append(a)
+        return below
+
+    def is_down_set(self, subset):
+        """Whether ``subset`` holds everything below its points.  By
+        transitivity it is enough that it holds the points they cover."""
+        below = self._covers_below
+        for p in subset:
+            for a in below.get(p, ()):
+                if a not in subset:
+                    return False
+        return True
+
+    def is_up_set(self, subset):
+        """Whether ``subset`` holds everything above its points, read off
+        the covers as in ``is_down_set``."""
+        above = self._covers_above
+        for p in subset:
+            for (_, b) in above.get(p, ()):
+                if b not in subset:
+                    return False
+        return True
+
+    def down_closure(self, p):
+        return self._down_up[0].get(p, frozenset())
+
+    def up_closure(self, p):
+        return self._down_up[1].get(p, frozenset())
 
     def family(self, fid):
         for f in self.families:
@@ -419,40 +368,48 @@ class FlaggedPriestley(_OrderIndex):
 
     def minimal_concrete(self):
         """Concrete points with nothing below them, members included."""
-        blocked = set()
+        blocked = {b for (_, b) in self.covers}
         for f in self.families:
             blocked |= f.member_lt
-        return self._minimal(p for p in self.concrete if p not in blocked)
+        return frozenset(p for p in self.concrete if p not in blocked)
 
+    @cached_property
     def _triggers(self):
-        """The trigger index of ``_forced_closure``, kept like the order
-        index.  Per rule, maps from a point to the families it fires, with
-        the tag each gives, and the points that fire some family: going
-        "down", the families whose member_lt hold the point; going "up",
-        those whose member_gt hold it; "visible" adds those it is limit of."""
-        index = self.__dict__.get("_trigger_index")
-        if index is None:
-            lt, gt, limit = {}, {}, {}
-            for f in self.families:
-                for q in f.member_lt:
-                    lt.setdefault(q, []).append(f)
-                for q in f.member_gt:
-                    gt.setdefault(q, []).append(f)
-                limit.setdefault(f.limit, []).append(f)
-            index = {
-                "down": (((lt, ALL),), frozenset(lt)),
-                "up": (((gt, ALL),), frozenset(gt)),
-                "visible": (((lt, ALL), (limit, COFINITE)), frozenset(lt).union(limit)),
-            }
-            object.__setattr__(self, "_trigger_index", index)
-        return index
+        """The trigger index of ``_forced_closure``.  Per rule, maps from a
+        point to the families it fires, with the tag each gives, and the
+        points that fire some family: going "down", the families whose
+        member_lt hold the point; going "up", those whose member_gt hold
+        it; "visible" adds those it is limit of."""
+        lt, gt, limit = {}, {}, {}
+        for f in self.families:
+            for q in f.member_lt:
+                lt.setdefault(q, []).append(f)
+            for q in f.member_gt:
+                gt.setdefault(q, []).append(f)
+            limit.setdefault(f.limit, []).append(f)
+        return {
+            "down": (((lt, ALL),), frozenset(lt)),
+            "up": (((gt, ALL),), frozenset(gt)),
+            "visible": (((lt, ALL), (limit, COFINITE)), frozenset(lt).union(limit)),
+        }
 
 
-def _as_flagged(space):
-    """A finite poset as a flagged space without families."""
-    if isinstance(space, FinitePriestley):
-        return _assemble(FlaggedPriestley, space.points, space.covers)
-    return space
+class FinitePriestley(FlaggedPriestley):
+    """A finite poset: a flagged space without families, whose Priestley
+    topology is discrete.  Built as ``FinitePriestley(points, order)``;
+    families raise ValueError."""
+
+    def __post_init__(self):
+        if self.families:
+            raise ValueError("a finite poset has no accumulation families")
+        super().__post_init__()
+
+    @property
+    def points(self):
+        return self.concrete
+
+    def minimal_points(self):
+        return self.minimal_concrete()
 
 
 # ---------------------------------------------------------------------------
@@ -564,10 +521,8 @@ def _forced_closure(space, p, rule="down", avoid=frozenset()):
     points a closure adds, only those that fire some family are pushed; a
     far bound already inside is skipped with its closure, as the set is a
     union of principal closures; each family fires at most once per tag.
-    A finite poset is read as a flagged space without families.
     """
-    space = _as_flagged(space)
-    rules, watch = space._triggers()[rule]
+    rules, watch = space._triggers[rule]
     down = rule != "up"
     closure = space.down_closure if down else space.up_closure
     start = closure(p)
@@ -604,14 +559,12 @@ def up_closure_symbolic(space, p):
 
 
 # ---------------------------------------------------------------------------
-# operations shared by both kinds
+# order reversal, Thomason points, Noetherianness
 
 
 def inverse(space):
-    """Order reversal; an involution on both kinds of spaces."""
+    """Order reversal, an involution; a finite poset stays one."""
     order = frozenset((b, a) for (a, b) in space.covers)
-    if isinstance(space, FinitePriestley):
-        return replace(space, order=order)
     families = tuple(
         replace(f, member_lt=f.member_gt, member_gt=f.member_lt) for f in space.families
     )
@@ -621,16 +574,16 @@ def inverse(space):
 def thomason_points(space):
     """Isolated minimal points: height-zero material of the Thomason filtration.
 
-    For a finite poset these are just the minimal points.  For a flagged
-    space the result is symbolic: minimal concrete points that are not the
-    limit of any family, together with every family whose members are
-    minimal (nothing declared below them, no height hint pretending
-    otherwise).  Chain members are never minimal.
+    For a finite poset these are just the minimal points, as a frozenset.
+    For a flagged space the result is symbolic: minimal concrete points
+    that are not the limit of any family, together with every family whose
+    members are minimal (nothing declared below them, no height hint
+    pretending otherwise).  Chain members are never minimal.
     """
-    if isinstance(space, FinitePriestley):
-        return space.minimal_points()
     limits = {f.limit for f in space.families}
     concrete = frozenset(p for p in space.minimal_concrete() if p not in limits)
+    if isinstance(space, FinitePriestley):
+        return concrete
     tags = {
         f.id: ALL
         for f in space.families
@@ -650,8 +603,6 @@ def is_noetherian(space):
     conversely when every limit dominates, closed down-sets are determined
     by finitely much data.  Finite posets always satisfy DCC.
     """
-    if isinstance(space, FinitePriestley):
-        return True
     return all(f.limit in f.member_lt for f in space.families)
 
 
@@ -732,7 +683,7 @@ def clopen_down_sets(space):
     profile below it.  More than ``CLOPEN_MAX_CLASSES`` classes raise
     ValueError.
     """
-    if not isinstance(space, FlaggedPriestley):
+    if isinstance(space, FinitePriestley) or not isinstance(space, FlaggedPriestley):
         raise TypeError("clopen_down_sets expects a flagged space")
     fams = space.families
     # inclusions close downward and exclusions upward; a closure of a union
@@ -785,18 +736,15 @@ def _assemble(cls, points, covers, families=()):
     made from an already-built one: the covers are not closed and the
     families not checked again."""
     space = object.__new__(cls)
-    if cls is FinitePriestley:
-        object.__setattr__(space, "points", points)
-    else:
-        object.__setattr__(space, "concrete", points)
-        object.__setattr__(space, "families", tuple(families))
+    object.__setattr__(space, "concrete", points)
+    object.__setattr__(space, "families", tuple(families))
     object.__setattr__(space, "covers", covers)
     return space
 
 
-def _subspace(space, points, families=()):
-    """The subspace of ``space`` on the frozenset ``points``, of the same
-    class, equal to what the public constructor builds from its fields.
+def _subspace(cls, space, points, families=()):
+    """The subspace of ``space`` on the frozenset ``points``, of class
+    ``cls``, equal to what the public constructor builds from its fields.
 
     On an order-convex subset (every point between two of its points is
     in it) the covers are the parent's covers between its points, and the
@@ -809,7 +757,7 @@ def _subspace(space, points, families=()):
     unique ids, limits inside the space and no cycle, so they are not
     checked again.
     """
-    above = space._covers_above()
+    above = space._covers_above
     covers = []
     outside = set()
     for a in points:
@@ -822,7 +770,7 @@ def _subspace(space, points, families=()):
         up = space.up_closure
         induced = [(a, b) for a in points for b in up(a) & points]
         covers = _transitive_closure(points, induced)[0]
-    return _assemble(type(space), points, frozenset(covers), families)
+    return _assemble(cls, points, frozenset(covers), families)
 
 
 def _reenters(above, points, outside):
@@ -858,7 +806,7 @@ def restrict(space, points, family_ids):
         for f in space.families
         if f.id in ids and f.limit in pts
     )
-    return _subspace(space, pts, fams)
+    return _subspace(FlaggedPriestley, space, pts, fams)
 
 
 def instantiate(space, depth):

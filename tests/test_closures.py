@@ -8,17 +8,27 @@ worklist must give the same symbolic sets, tags and witnesses.
 
 import random
 
+import pytest
+
 from prism import (
     ALL,
     COFINITE,
+    AccumulationFamily,
     FinitePriestley,
     FlaggedPriestley,
     SymbolicSet,
     Torus,
+    cb_heights,
+    clopen_down_sets,
     down_closure_symbolic,
     flagged_snapshot,
     gen_closure,
+    inverse,
     is_generically_noetherian,
+    is_noetherian,
+    thomason_derivative,
+    thomason_heights,
+    thomason_points,
     up_closure_symbolic,
     weakly_visible,
 )
@@ -148,3 +158,36 @@ def test_closures_on_a_finite_poset():
     assert is_generically_noetherian(poset)
     assert weakly_visible(poset, "a") == SymbolicSet(frozenset("a"))
     assert weakly_visible(poset, "b") == whole
+    with pytest.raises(TypeError):
+        clopen_down_sets(poset)
+    with pytest.raises(ValueError):
+        FinitePriestley(frozenset("ab"), [], (AccumulationFamily("f", "a"),))
+
+
+def test_a_finite_poset_answers_as_its_flagged_space():
+    """A finite poset is a flagged space without families: every function
+    that takes both gives the two the same answer, and the finite poset
+    keeps the types the API promises for it."""
+    rng = random.Random(4242)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        pts = ["p%d" % i for i in range(n)]
+        pairs = [(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+        poset = FinitePriestley(frozenset(pts), pairs)
+        space = FlaggedPriestley(frozenset(pts), pairs)
+        assert thomason_heights(poset) == thomason_heights(space)
+        assert cb_heights(poset) == cb_heights(space)
+        assert type(thomason_points(poset)) is frozenset
+        assert SymbolicSet(thomason_points(poset)) == thomason_points(space)
+        assert is_noetherian(poset) and is_noetherian(space)
+        assert is_generically_noetherian(poset) == is_generically_noetherian(space)
+        for op in (thomason_derivative, inverse):
+            derived = op(poset)
+            assert type(derived) is FinitePriestley
+            assert FlaggedPriestley(derived.points, derived.order) == op(space)
+        for p in pts:
+            assert down_closure_symbolic(poset, p) == down_closure_symbolic(space, p)
+            assert up_closure_symbolic(poset, p) == up_closure_symbolic(space, p)
+            assert weakly_visible(poset, p) == weakly_visible(space, p)
+            closure = gen_closure(poset, p)
+            assert type(closure) is FlaggedPriestley and closure == gen_closure(space, p)

@@ -59,7 +59,7 @@ from prism import (
 )
 from prism import intlinalg as la
 from prism.cube import build_decomposition
-from prism.liegroups import _snapshot_data
+from prism.liegroups import _snapshot_data, is_group_spec
 from prism.oracles import CATALOG_SWEEP, check_cotoral_order, check_snf_torsion
 
 
@@ -569,3 +569,8 @@ def test_group_from_spec():
     assert group_from_spec("nsu3t") == NSU3T
     with pytest.raises(KeyMismatch):
         group_from_spec("su2")
+    # the CLI reads any other argument as a JSON file path
+    for spec in ("circle", "o2", "so3", "nsu3t", "torus:3", "finite:a.json", "semidirect:b"):
+        assert is_group_spec(spec)
+    for spec in ("su2", "torus", "torus3", "space.json", "circle:2"):
+        assert not is_group_spec(spec)
