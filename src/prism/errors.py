@@ -19,7 +19,7 @@ class InconsistentHint(PrismError):
 
 
 class ChecksFailed(PrismError):
-    """A structural check on strata failed; the message names the clause."""
+    """strata was given a candidate that is not a dispersion."""
 
 
 class KeyMismatch(PrismError):

@@ -215,17 +215,6 @@ def span_dim(vectors):
     return len(rref(vectors)[0])
 
 
-def in_span(vectors, v):
-    basis, pivots = rref(vectors)
-    v = list(fvec(v))
-    for row, p in zip(basis, pivots):
-        if v[p] != 0:
-            f = v[p]
-            for k in range(len(v)):
-                v[k] -= f * row[k]
-    return not any(v)
-
-
 def kernel(matrix_rows, ncols):
     """Basis of the right kernel of the matrix whose rows are given."""
     basis, pivots = rref(matrix_rows) if matrix_rows else ([], [])
@@ -238,38 +227,3 @@ def kernel(matrix_rows, ncols):
             v[p] = -row[j]
         out.append(tuple(v))
     return out
-
-
-def intersect_spaces(a_vectors, b_vectors, dim):
-    """Basis of the intersection of two rational subspaces of Q^dim."""
-    a_basis, _ = rref(a_vectors)
-    b_basis, b_pivots = rref(b_vectors)
-    if not a_basis:
-        return []
-    residuals = []
-    for a in a_basis:
-        v = list(a)
-        for row, p in zip(b_basis, b_pivots):
-            if v[p] != 0:
-                f = v[p]
-                for k in range(dim):
-                    v[k] -= f * row[k]
-        residuals.append(tuple(v))
-    # combinations of the A-basis whose residual vanishes lie in B
-    columns = [tuple(col) for col in zip(*residuals)]
-    combos = kernel(columns, len(a_basis))
-    out = []
-    for alpha in combos:
-        v = [Fraction(0)] * dim
-        for c, a in zip(alpha, a_basis):
-            for k in range(dim):
-                v[k] += c * a[k]
-        if any(v):
-            out.append(tuple(v))
-    basis, _ = rref(out)
-    return list(basis)
-
-
-def sum_spaces(a_vectors, b_vectors):
-    basis, _ = rref(list(a_vectors) + list(b_vectors))
-    return list(basis)

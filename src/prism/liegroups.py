@@ -182,20 +182,21 @@ def count_simple_summands(action):
     Sign characters cut out every one-dimensional summand; the Maschke
     complement of their span is either zero or a single simple piece,
     since any proper invariant subspace of it would force an invariant
-    line, which is impossible in dimension three or less.
+    line, which is impossible in dimension three or less.  Their span has
+    dimension ``one_dim_total``: joint eigenvectors of distinct sign tuples
+    are independent, as ``g_i - e`` applied to a shortest relation among
+    them, for a generator ``g_i`` on which two of its sign tuples differ,
+    would give a shorter one.
     """
     if action.dim > 3:
         raise DimTooLarge("simple-summand counting needs dimension <= 3")
     if not action.generators:
         return action.dim
-    one_dim_total = 0
-    eigenvectors = []
-    for signs in product((1, -1), repeat=len(action.generators)):
-        ker = _sign_eigenspace(action, signs)
-        one_dim_total += len(ker)
-        eigenvectors.extend(ker)
-    span = la.span_dim(eigenvectors)
-    return one_dim_total + (1 if span < action.dim else 0)
+    one_dim_total = sum(
+        len(_sign_eigenspace(action, signs))
+        for signs in product((1, -1), repeat=len(action.generators))
+    )
+    return one_dim_total + (one_dim_total < action.dim)
 
 
 def fixed_subspace(action):
@@ -229,29 +230,33 @@ _TRIVIAL_WEYL = WeylData("1", 1, "1")
 
 def finite_weyl_criterion(action, subspace):
     """Finite index in the normalizer: the subspace meets the fixed
-    directions fully, dim(S cap T^W) = dim(T^W)."""
+    directions fully, dim(S cap T^W) = dim(T^W), that is, T^W lies in S;
+    by the rank identity that holds exactly when adding T^W to S leaves
+    its dimension unchanged."""
+    subspace = list(subspace)
     _check_invariant(action, subspace)
-    fixed = fixed_subspace(action)
-    meet = la.intersect_spaces(list(subspace), fixed, action.dim)
-    return len(meet) == len(fixed)
+    return la.span_dim(subspace + fixed_subspace(action)) == la.span_dim(subspace)
 
 
 def normalizer_directions(action, subspace):
     """Lie-algebra directions of the normalizer: the subspace plus the
     fixed directions (the quotient is carried entirely by the fixed
-    isotypical piece)."""
+    isotypical piece), as the reduced echelon basis of their sum."""
+    subspace = list(subspace)
     _check_invariant(action, subspace)
-    return tuple(la.sum_spaces(list(subspace), fixed_subspace(action)))
+    return tuple(la.rref(subspace + fixed_subspace(action))[0])
 
 
 def _check_invariant(action, subspace):
-    vectors = [la.fvec(v) for v in subspace]
+    """Raise NotInvariant unless each generator maps each basis vector into
+    the span: adding the image leaves the span's dimension unchanged."""
+    if any(len(v) != action.dim for v in subspace):
+        raise ValueError("subspace vectors must have length %d" % action.dim)
+    rank = la.span_dim(subspace)
     for g in action.generators:
-        for v in vectors:
-            image = tuple(
-                sum(row[j] * v[j] for j in range(action.dim)) for row in g
-            )
-            if not la.in_span(vectors, image):
+        for v in subspace:
+            image = tuple(sum(a * x for a, x in zip(row, v)) for row in g)
+            if la.span_dim(subspace + [image]) != rank:
                 raise NotInvariant("subspace is not invariant under the action")
 
 
@@ -732,45 +737,27 @@ def spectrum_is_noetherian(group):
 
 
 def _hnf_lattices(rank, bound):
-    """All HNF lattices in Z^rank with entries bounded by ``bound``."""
+    """All HNF lattices in Z^rank with entries bounded by ``bound``.
+
+    Per set of pivot columns and choice of pivots in [1, bound], each
+    entry right of a row's pivot ranges over [0, p) in the column of a
+    lower row's pivot p, and over [-bound, bound] elsewhere.
+    """
     out = [DualLattice(rank, ())]
-
-    def fill(pivot_cols):
-        k = len(pivot_cols)
-        rows = [[0] * rank for _ in range(k)]
-
-        def fill_cell(cells, idx):
-            if idx == len(cells):
-                yield tuple(tuple(r) for r in rows)
-                return
-            i, j = cells[idx]
-            if j == pivot_cols[i]:
-                choices = range(1, bound + 1)
-            elif j in pivot_cols:
-                pivot_row = pivot_cols.index(j)
-                top = min(rows[pivot_row][j] - 1, bound)
-                choices = range(0, top + 1)
-            else:
-                choices = range(-bound, bound + 1)
-            for v in choices:
-                rows[i][j] = v
-                yield from fill_cell(cells, idx + 1)
-            rows[i][j] = 0
-
-        # fill pivots first so reduction bounds are known
-        cells = [(i, pivot_cols[i]) for i in range(k)]
-        cells += [
-            (i, j)
-            for i in range(k)
-            for j in range(pivot_cols[i] + 1, rank)
-            if (i, j) not in cells
-        ]
-        yield from fill_cell(cells, 0)
-
+    anything = range(-bound, bound + 1)
     for k in range(1, rank + 1):
-        for pivot_cols in combinations(range(rank), k):
-            for rows in fill(pivot_cols):
-                out.append(DualLattice(rank, rows))
+        for cols in combinations(range(rank), k):
+            row_of = {c: r for r, c in enumerate(cols)}
+            cells = [(i, j) for i in range(k) for j in range(cols[i] + 1, rank)]
+            for pivots in product(range(1, bound + 1), repeat=k):
+                ranges = [range(pivots[row_of[j]]) if j in row_of else anything for _, j in cells]
+                for entries in product(*ranges):
+                    rows = [[0] * rank for _ in range(k)]
+                    for i, c in enumerate(cols):
+                        rows[i][c] = pivots[i]
+                    for (i, j), v in zip(cells, entries):
+                        rows[i][j] = v
+                    out.append(DualLattice(rank, tuple(map(tuple, rows))))
     return out
 
 
@@ -927,13 +914,18 @@ def toral_semidirect_from_json(text):
     return ToralSemidirect(data["rank"], gens, rels)
 
 
+def _read_text(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 # the group identifiers: names, and kinds read as "<kind>:<argument>", each
-# made from the argument and a function reading a file's text
+# made from the argument
 _GROUP_NAMES = {"circle": Circle, "o2": O2, "so3": SO3, "nsu3t": lambda: NSU3T}
 _GROUP_KINDS = {
-    "torus": lambda arg, read_file: Torus(int(arg)),
-    "finite": lambda arg, read_file: finite_group_from_json(read_file(arg)),
-    "semidirect": lambda arg, read_file: toral_semidirect_from_json(read_file(arg)),
+    "torus": lambda arg: Torus(int(arg)),
+    "finite": lambda arg: finite_group_from_json(_read_text(arg)),
+    "semidirect": lambda arg: toral_semidirect_from_json(_read_text(arg)),
 }
 
 
@@ -943,16 +935,11 @@ def is_group_spec(spec):
     return spec in _GROUP_NAMES or bool(colon) and kind in _GROUP_KINDS
 
 
-def group_from_spec(spec, read_file=None):
+def group_from_spec(spec):
     """Resolve a CLI group identifier like ``circle`` or ``torus:2``."""
-    if read_file is None:
-        def read_file(path):
-            with open(path, encoding="utf-8") as fh:
-                return fh.read()
-
     if spec in _GROUP_NAMES:
         return _GROUP_NAMES[spec]()
     kind, colon, arg = spec.partition(":")
     if colon and kind in _GROUP_KINDS:
-        return _GROUP_KINDS[kind](arg, read_file)
+        return _GROUP_KINDS[kind](arg)
     raise KeyMismatch("unknown group identifier %r" % (spec,))

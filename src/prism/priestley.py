@@ -464,13 +464,7 @@ class SymbolicSet:
         return True
 
     def is_clopen(self, space):
-        """Closed and open: a family has infinitely many members inside
-        exactly when its limit is inside."""
-        tags, concrete = self._tags, self.concrete
-        for f in space.families:
-            if (tags.get(f.id) in _INFINITE) != (f.limit in concrete):
-                return False
-        return True
+        return self.is_closed(space) and self.is_open(space)
 
     def is_down_set(self, space):
         concrete = self.concrete
@@ -618,7 +612,8 @@ class ClopenDownClass:
     stays down-closed, with family members per tag: ``finite`` allows any
     finite member set (the empty one included; nonempty choices need the
     family's lower bounds realized), ``cofinite`` all but finitely many,
-    ``all`` every member.  ``realize`` builds a SymbolicSet and validates.
+    ``all`` every member.  ``realize`` builds the least realization, with
+    no members on the finite side, as a SymbolicSet and validates it.
     """
 
     family_tags: tuple
@@ -631,16 +626,9 @@ class ClopenDownClass:
                 return t
         return EMPTY
 
-    def realize(self, space, extra=frozenset(), portion_overrides=None):
-        tags = {}
-        for f in space.families:
-            t = self.tag(f.id)
-            if portion_overrides and f.id in portion_overrides:
-                t = portion_overrides[f.id]
-            if t == FINITE and portion_overrides is None:
-                t = EMPTY  # default: take no members on the finite side
-            tags[f.id] = t
-        s = SymbolicSet(self.required | frozenset(extra), tags)
+    def realize(self, space):
+        tags = {f: t for f, t in self.family_tags if t != FINITE}
+        s = SymbolicSet(self.required, {f.id: tags.get(f.id, EMPTY) for f in space.families})
         if not (s.is_clopen(space) and s.is_down_set(space)):
             raise ValueError("realization is not a clopen down-set")
         return s

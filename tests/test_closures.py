@@ -97,13 +97,15 @@ def assert_closures_match(space, points):
 
 
 def assert_visibility_matches(space, points):
-    """Witnesses equal the reference's; returns how many points are
-    visible."""
+    """Witnesses equal the reference's and are clopen down-sets, as
+    weakly_visible no longer checks; returns how many points are visible."""
     visible = 0
     for p in points:
         witness = weakly_visible(space, p)
         assert witness == reference_weakly_visible(space, p), p
-        visible += witness is not None
+        if witness is not None:
+            assert witness.is_clopen(space) and witness.is_down_set(space), p
+            visible += 1
     return visible
 
 

@@ -1,6 +1,7 @@
 """Derivatives, heights, dispersion checks, strata, and visibility."""
 
 import random
+from dataclasses import replace
 from math import inf
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from prism import (
     ANTICHAIN,
     DESCENDING,
+    EMPTY,
     AccumulationFamily,
     ChecksFailed,
     DispersionCandidate,
@@ -671,8 +673,40 @@ def test_covers_against_brute_force_reduction():
 # dispersion witnesses against a full pair scan
 
 
+def test_passing_candidates_dominate_the_heights():
+    """A candidate passing the axioms is strictly monotone, so it dominates
+    the longest-path heights of the presentation, and none passes where a
+    height is infinite, as above a descending chain.  The heights are taken
+    without hints, which is_dispersion does not read.  The candidates
+    include the heights with each chain read as an antichain, which satisfy
+    every axiom but the chain's."""
+    rng = random.Random(8484)
+    seen = {"pass": 0, "chain": 0}
+    for _ in range(600):
+        space = random_presentation(rng)
+        if space is None:
+            continue
+        bare = replace(space, families=tuple(
+            replace(f, member_height_hint=None) for f in space.families))
+        flat = replace(bare, families=tuple(
+            replace(f, member_order=ANTICHAIN) for f in bare.families))
+        heights, flat_heights = thomason_heights(bare), thomason_heights(flat)
+        names = sorted(space.concrete) + list(space.family_ids())
+        top = len(names) + 1
+        candidates = [{k: rng.randint(0, 4) for k in names}]
+        for ha in (heights, flat_heights):
+            candidates.append({k: top if ha[k] == inf else ha[k] for k in names})
+        seen["chain"] += flat_heights.all_finite() and not heights.all_finite()
+        for values in candidates:
+            if is_dispersion(space, DispersionCandidate(values))[0]:
+                seen["pass"] += 1
+                assert all(values[k] >= heights[k] for k in names), values
+    assert seen["pass"] >= 300 and seen["chain"] >= 40, seen
+
+
 def reference_dispersion(space, closed, values):
-    """is_dispersion by a scan of every strict pair of ``closed``."""
+    """is_dispersion by a scan of every strict pair of ``closed``; a
+    descending-chain family has no strictly monotone natural values."""
     broken = [(p, q) for (p, q) in closed if p != q and not values[p] < values[q]]
     if broken:
         return False, ("order",) + min(broken)
@@ -686,7 +720,27 @@ def reference_dispersion(space, closed, values):
     for f in space.families:
         if not values[f.id] < values[f.limit]:
             return False, ("family-limit", f.id, f.limit)
+    for f in space.families:
+        if f.member_order == DESCENDING:
+            return False, ("family-order", f.id, f.id)
     return True, None
+
+
+def assert_slice_structure(space, report, level):
+    """What strata no longer checks: the axioms make the lower part an open
+    down-set, the upper part a closed up-set, and the slice isolated and
+    minimal inside the upper part."""
+    at, lo, hi = report.at_level, report.below, report.at_or_above
+    assert lo.is_open(space) and lo.is_down_set(space), level
+    assert hi.is_closed(space) and hi.is_up_set(space), level
+    for p in at.concrete:
+        assert space.down_closure(p) & hi.concrete == {p}
+        for f in space.families:
+            if hi.portion(f.id) != EMPTY:
+                assert p not in f.member_lt and f.limit != p
+    for f in space.families:
+        if at.portion(f.id) != EMPTY:
+            assert f.member_gt.isdisjoint(hi.concrete)
 
 
 def test_dispersion_witness_against_full_scan():
@@ -717,10 +771,7 @@ def test_dispersion_witness_against_full_scan():
             seen["pass" if expected[0] else expected[1][0]] += 1
             for level in sorted(set(values.values()))[:3]:
                 if expected[0]:
-                    try:
-                        strata(space, candidate, level)
-                    except ChecksFailed as err:
-                        assert "not a dispersion" not in str(err)
+                    assert_slice_structure(space, strata(space, candidate, level), level)
                 else:
                     message = "candidate is not a dispersion: %r" % (expected[1],)
                     with pytest.raises(ChecksFailed) as err:

@@ -89,12 +89,10 @@ def test_solve_in_lattice():
 def test_rational_spaces():
     fixed = la.kernel([la.fvec((-1, 1)), la.fvec((1, -1))], 2)
     assert len(fixed) == 1
-    assert la.in_span(fixed, (2, 2))
-    meet = la.intersect_spaces([(1, 1)], [(1, 0), (0, 1)], 2)
-    assert len(meet) == 1
-    assert la.intersect_spaces([(1, 1)], [(1, -1)], 2) == []
-    assert len(la.sum_spaces([(1, -1)], [(1, 1)])) == 2
+    assert la.span_dim(fixed + [(2, 2)]) == 1  # (2, 2) is in the fixed line
+    assert la.span_dim(fixed + [(1, -1)]) == 2
     assert la.span_dim([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 2
+    assert la.rref([(0, 2, 4), (1, 1, 1)]) == ([(1, 0, -1), (0, 1, 2)], [0, 1])
 
 
 def test_matrix_order():

@@ -1,5 +1,6 @@
 """Catalog groups: keys, cotoral order, heights, Weyl data, snapshots."""
 
+import itertools
 import json
 import random
 from math import inf
@@ -236,6 +237,111 @@ def test_count_additive_on_blocks():
 
 
 # ---------------------------------------------------------------------------
+# the height count and the Weyl tests against span and intersection
+
+
+def reference_in_span(vectors, v):
+    """Whether ``v`` reduces to zero against the echelon basis of ``vectors``."""
+    basis, pivots = la.rref(vectors)
+    v = list(la.fvec(v))
+    for row, p in zip(basis, pivots):
+        f = v[p]
+        v = [x - f * y for x, y in zip(v, row)]
+    return not any(v)
+
+
+def reference_intersection(a_vectors, b_vectors, dim):
+    """Basis of the intersection: the combinations of an echelon basis of A
+    whose residual against an echelon basis of B vanishes."""
+    a_basis = la.rref(a_vectors)[0]
+    b_basis, b_pivots = la.rref(b_vectors)
+    residuals = []
+    for a in a_basis:
+        v = list(a)
+        for row, p in zip(b_basis, b_pivots):
+            f = v[p]
+            v = [x - f * y for x, y in zip(v, row)]
+        residuals.append(v)
+    combos = la.kernel([tuple(col) for col in zip(*residuals)], len(a_basis)) if a_basis else []
+    meet = [tuple(sum(c * a[k] for c, a in zip(alpha, a_basis)) for k in range(dim))
+            for alpha in combos]
+    return la.rref(meet)[0]
+
+
+def reference_count(action):
+    """The simple-summand count with the span of the joint eigenvectors
+    computed, not assumed to be the number of them."""
+    if not action.generators:
+        return action.dim
+    eigenvectors = []
+    for signs in itertools.product((1, -1), repeat=len(action.generators)):
+        eigenvectors += reference_eigenspace(action, signs)
+    return len(eigenvectors) + (la.span_dim(eigenvectors) < action.dim)
+
+
+def reference_eigenspace(action, signs):
+    n = action.dim
+    rows = [tuple(g[i][j] - (e if i == j else 0) for j in range(n))
+            for g, e in zip(action.generators, signs) for i in range(n)]
+    return la.kernel(rows, n)
+
+
+def reference_weyl(action, subspace):
+    """(finite Weyl?, normalizer directions), or NotInvariant."""
+    for g in action.generators:
+        for v in subspace:
+            image = tuple(sum(a * x for a, x in zip(row, v)) for row in g)
+            if not reference_in_span(subspace, image):
+                return NotInvariant
+    fixed = reference_eigenspace(action, (1,) * len(action.generators))
+    finite = len(reference_intersection(subspace, fixed, action.dim)) == len(fixed)
+    return finite, tuple(la.rref(list(subspace) + fixed)[0])
+
+
+def unit_actions(rng, tuples):
+    """Actions by {-1, 0, 1} matrices of finite order: every such single
+    generator of size 1 and 2, a seeded sample of size 3, and ``tuples``
+    seeded tuples of two and three of them."""
+    found = {n: [] for n in (1, 2, 3)}
+    for n in (1, 2, 3):
+        for entries in itertools.product((-1, 0, 1), repeat=n * n):
+            if n == 3 and rng.random() > 0.05:
+                continue
+            g = tuple(entries[i * n:(i + 1) * n] for i in range(n))
+            if la.det(g) in (1, -1) and la.matrix_order(g) is not None:
+                found[n].append(g)
+    actions = [IntegerAction(n, (g,)) for n in found for g in found[n]]
+    for _ in range(tuples):
+        n = rng.choice((2, 3))
+        actions.append(IntegerAction(n, tuple(rng.sample(found[n], rng.choice((2, 3))))))
+    return actions
+
+
+def test_count_and_weyl_against_span_and_intersection():
+    rng = random.Random(1313)
+    seen = {"finite": 0, "infinite": 0, "not invariant": 0}
+    for action in unit_actions(rng, 60):
+        assert count_simple_summands(action) == reference_count(action), action
+        n = action.dim
+        pieces = [reference_eigenspace(action, signs)
+                  for signs in itertools.product((1, -1), repeat=len(action.generators))]
+        lines = [[tuple(int(i == j) for j in range(n))] for i in range(n)]
+        for subspace in [[]] + pieces + lines + [pieces[0] + pieces[-1]]:
+            want = reference_weyl(action, subspace)
+            if want is NotInvariant:
+                seen["not invariant"] += 1
+                with pytest.raises(NotInvariant):
+                    finite_weyl_criterion(action, subspace)
+                with pytest.raises(NotInvariant):
+                    normalizer_directions(action, subspace)
+                continue
+            seen["finite" if want[0] else "infinite"] += 1
+            assert finite_weyl_criterion(action, subspace) == want[0], (action, subspace)
+            assert normalizer_directions(action, subspace) == want[1], (action, subspace)
+    assert min(seen.values()) >= 100, seen
+
+
+# ---------------------------------------------------------------------------
 # heights
 
 
@@ -294,6 +400,11 @@ def test_finite_weyl_criterion():
     assert finite_weyl_criterion(swap, [(1, 0), (0, 1)])  # full space
     with pytest.raises(NotInvariant):
         finite_weyl_criterion(swap, [(1, 0)])
+    for wrong in ([(1,)], [(1, 1, 5)]):
+        with pytest.raises(ValueError, match="length 2"):
+            finite_weyl_criterion(swap, wrong)
+        with pytest.raises(ValueError, match="length 2"):
+            normalizer_directions(swap, wrong)
     assert has_finite_weyl(O2(), Dih(4))
     assert not has_finite_weyl(O2(), Cyc(4))
 
