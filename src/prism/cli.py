@@ -20,6 +20,10 @@ Every command is a thin adapter over the library: resolve inputs, call
 one operation, format.  Output collections are ordered lexicographically
 by key string so identical invocations produce identical bytes.
 
+Each subcommand imports only the layers it runs: ``isomax`` loads the cube
+combinatorics alone, a flagged-space file loads no group catalog, and only
+``oracle`` loads the oracles.
+
 Exit codes: 0 success, 1 domain error (the error class name is printed
 on stderr), 2 usage error.
 """
@@ -30,19 +34,33 @@ import sys
 from math import inf
 
 from .errors import PrismError
-from . import dispersion
-from . import liegroups
-from . import oracles
-from . import priestley
-from .cube import ISOMAX_MAX_N
-from .cube import build_decomposition, cube_to_dot, cube_to_json, cube_to_text, isomax_table
+
+# Copies of library values, so that building the parser and telling a group
+# from a file import nothing; tests pin each to its source: the suites of
+# oracles.SUITES, cube.ISOMAX_MAX_N, and the names and "<kind>:" prefixes
+# that liegroups.is_group_spec accepts.
+_ORACLE_SUITES = ("cotoral", "derivative", "downsets", "isomax", "snf")
+_ISOMAX_MAX_N = 12
+_GROUP_NAMES = frozenset({"circle", "nsu3t", "o2", "so3"})
+_GROUP_KINDS = frozenset({"finite", "semidirect", "torus"})
+
+
+def _is_group_spec(spec):
+    """Whether ``spec`` names a group rather than a file; a group wins over a
+    file of the same name."""
+    kind, colon, _ = spec.partition(":")
+    return spec in _GROUP_NAMES or bool(colon) and kind in _GROUP_KINDS
 
 
 def _resolve_space(spec, bound):
-    if liegroups.is_group_spec(spec):
-        return liegroups.flagged_snapshot(liegroups.group_from_spec(spec), bound)
+    if _is_group_spec(spec):
+        from .liegroups import flagged_snapshot, group_from_spec
+
+        return flagged_snapshot(group_from_spec(spec), bound)
+    from .priestley import flagged_from_json
+
     with open(spec, encoding="utf-8") as fh:
-        return priestley.flagged_from_json(fh.read())
+        return flagged_from_json(fh.read())
 
 
 def _height_value(v):
@@ -85,7 +103,9 @@ def _cmd_show(args):
 
 def heights_table(space):
     """The height report both as a dict (heights/v1) and as text lines."""
-    ha = dispersion.thomason_heights(space)
+    from .dispersion import thomason_heights
+
+    ha = thomason_heights(space)
     flat = {}
     for name, v in ha.heights.items():
         flat[name] = _height_value(v)
@@ -106,13 +126,14 @@ def _cmd_heights(args):
 
 
 def _cmd_check_dispersion(args):
+    from .dispersion import DispersionCandidate, is_dispersion
+
     space = _resolve_space(args.space, args.bound)
     with open(args.candidate, encoding="utf-8") as fh:
         values = json.loads(fh.read())
     if not (isinstance(values, dict) and all(type(v) is int for v in values.values())):
         raise ValueError("a candidate must be a JSON object of integers")
-    candidate = dispersion.DispersionCandidate(values)
-    ok, witness = dispersion.is_dispersion(space, candidate)
+    ok, witness = is_dispersion(space, DispersionCandidate(values))
     if ok:
         _emit("true\n", args.out)
     else:
@@ -121,8 +142,10 @@ def _cmd_check_dispersion(args):
 
 
 def _cmd_closed_sets(args):
+    from .priestley import clopen_down_sets
+
     space = _resolve_space(args.space, args.bound)
-    classes = priestley.clopen_down_sets(space)
+    classes = clopen_down_sets(space)
     lines = ["%d clopen down-set classes" % len(classes)]
     for i, cls in enumerate(
         sorted(classes, key=lambda c: (sorted(c.required), c.family_tags))
@@ -133,16 +156,21 @@ def _cmd_closed_sets(args):
 
 
 def _cmd_noetherian(args):
-    group = liegroups.group_from_spec(args.group)
+    from .liegroups import group_from_spec, spectrum_is_noetherian
+
+    group = group_from_spec(args.group)
     _emit(
-        ("true" if liegroups.spectrum_is_noetherian(group) else "false") + "\n",
+        ("true" if spectrum_is_noetherian(group) else "false") + "\n",
         args.out,
     )
     return 0
 
 
 def _cmd_cube(args):
-    group = liegroups.group_from_spec(args.group)
+    from .cube import build_decomposition, cube_to_dot, cube_to_json, cube_to_text
+    from .liegroups import group_from_spec
+
+    group = group_from_spec(args.group)
     diagram = build_decomposition(group, args.bound)
     if args.format == "dot":
         _emit(cube_to_dot(diagram), args.out)
@@ -154,13 +182,17 @@ def _cmd_cube(args):
 
 
 def _cmd_isomax(args):
+    from .cube import isomax_table
+
     _emit(isomax_table(args.n), args.out)
     return 0
 
 
 def _cmd_oracle(args):
+    from .oracles import run_suite
+
     lines = []
-    for name, cases in oracles.run_suite(args.suite):
+    for name, cases in run_suite(args.suite):
         lines.append("ok %s (%d cases)" % (name, cases))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -191,10 +223,10 @@ def build_parser():
     common("noetherian", "Noetherian verdict for a group", "group", bound=False)
     common("cube", "decomposition diagram", "group", fmt=("text", "dot", "json"))
     common("isomax", "isomax dimension table", bound=False).add_argument(
-        "n", type=int, help="0 <= n <= %d" % ISOMAX_MAX_N
+        "n", type=int, help="0 <= n <= %d" % _ISOMAX_MAX_N
     )
     common("oracle", "run brute-force cross-checks", bound=False).add_argument(
-        "suite", choices=sorted(oracles.SUITES) + ["all"]
+        "suite", choices=list(_ORACLE_SUITES) + ["all"]
     )
 
     handlers = {

@@ -36,9 +36,10 @@ from itertools import combinations
 import json
 
 from .errors import NotDispersible
-from .priestley import FinitePriestley
-from .dispersion import thomason_heights
-from .liegroups import flagged_snapshot, parse_key, weyl_data
+
+# priestley, dispersion and liegroups are imported inside the functions that
+# use them, so the cube combinatorics (isomax) load none of them; never inside
+# a per-point loop, where each import statement costs a microsecond or two
 
 
 def subset_name(phi):
@@ -115,6 +116,8 @@ def punctured_cube(n):
     """The poset of nonempty subsets of {0..n}, ordered by inclusion,
     given by its covers: each subset lies below its one-element
     extensions."""
+    from .priestley import FinitePriestley
+
     if n < 0:
         raise ValueError("n must be nonnegative")
     subsets = _nonempty_subsets(n)
@@ -179,7 +182,13 @@ class CubeDiagram:
 
 
 def factor_label(group, point_name):
-    w = weyl_data(group, parse_key(group, point_name))
+    from .liegroups import parse_key, weyl_data
+
+    return _label(point_name, weyl_data(group, parse_key(group, point_name)))
+
+
+def _label(point_name, w):
+    """The factor label of a point whose Weyl data is ``w``."""
     if w.identity_component == "1":
         model = "D(Q)" if w.component_order == 1 else "D(Q[%s])" % w.component_name
     else:
@@ -198,6 +207,9 @@ def build_decomposition(group, bound):
     factor labels list the stratum of the node's maximum; every family in
     a stratum appears as a single marker label for its members.
     """
+    from .dispersion import thomason_heights
+    from .liegroups import flagged_snapshot
+
     snapshot = flagged_snapshot(group, bound)
     heights = thomason_heights(snapshot)
     if not heights.all_finite():
@@ -207,13 +219,15 @@ def build_decomposition(group, bound):
 
 def decomposition_of(group, snapshot, heights):
     """Cube diagram for an explicit snapshot with known finite heights."""
+    from .liegroups import parse_key, weyl_data
+
     if not heights.all_finite():
         raise NotDispersible("the space has points of infinite height")
     n = int(heights.max_height())
     strata_labels = {}
     for name in sorted(snapshot.concrete):
         strata_labels.setdefault(heights.heights[name], []).append(
-            factor_label(group, name)
+            _label(name, weyl_data(group, parse_key(group, name)))
         )
     for f in snapshot.families:
         strata_labels.setdefault(heights.family_heights[f.id], []).append(
@@ -237,6 +251,7 @@ def decomposition_of(group, snapshot, heights):
 def component_decompositions(group, bound):
     """One cube per catalog piece of the snapshot (e.g. the two cospans
     of the rank-one dihedral case)."""
+    from .dispersion import thomason_heights
     from .liegroups import snapshot_parts
 
     out = []

@@ -194,8 +194,11 @@ def is_dispersion(space, candidate):
     tail).  The witness names the first violated comparison; an order
     witness is the least violating pair.  Strict monotonicity on the
     covers gives it on every pair, so all pairs are scanned only for the
-    witness of a failing check.  Last, a descending-chain family breaks
+    witness of a failing check.  Then a descending-chain family breaks
     axiom one among its own members, witnessed ``("family-order", id, id)``.
+    Last, a family valued below its ``member_height_hint`` fails, witnessed
+    ``("family-hint", id)``: the hint is the height of the members, and a
+    dispersion dominates the heights.
     """
     values = candidate.values
     for p in space.concrete:
@@ -223,6 +226,9 @@ def is_dispersion(space, candidate):
     for f in space.families:
         if f.member_order == DESCENDING:  # no natural falls strictly forever
             return False, ("family-order", f.id, f.id)
+    for f in space.families:
+        if values[f.id] < (f.member_height_hint or 0):
+            return False, ("family-hint", f.id)
     return True, None
 
 

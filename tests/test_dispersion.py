@@ -675,22 +675,30 @@ def test_covers_against_brute_force_reduction():
 
 def test_passing_candidates_dominate_the_heights():
     """A candidate passing the axioms is strictly monotone, so it dominates
-    the longest-path heights of the presentation, and none passes where a
-    height is infinite, as above a descending chain.  The heights are taken
-    without hints, which is_dispersion does not read.  The candidates
-    include the heights with each chain read as an antichain, which satisfy
-    every axiom but the chain's."""
+    the heights of the presentation, member height hints included, and none
+    passes where a height is infinite, as above a descending chain.  Where
+    the hints are inconsistent (one on a chain, or under its members'
+    floor) the heights are taken without them, and a passing candidate
+    still sits at or above every hint.  The candidates include the heights
+    with each chain read as an antichain, which satisfy every axiom but the
+    chain's."""
+
+    def hinted_heights(space):
+        try:
+            return thomason_heights(space)
+        except InconsistentHint:
+            return thomason_heights(replace(space, families=tuple(
+                replace(f, member_height_hint=None) for f in space.families)))
+
     rng = random.Random(8484)
     seen = {"pass": 0, "chain": 0}
     for _ in range(600):
         space = random_presentation(rng)
         if space is None:
             continue
-        bare = replace(space, families=tuple(
-            replace(f, member_height_hint=None) for f in space.families))
-        flat = replace(bare, families=tuple(
-            replace(f, member_order=ANTICHAIN) for f in bare.families))
-        heights, flat_heights = thomason_heights(bare), thomason_heights(flat)
+        flat = replace(space, families=tuple(
+            replace(f, member_order=ANTICHAIN) for f in space.families))
+        heights, flat_heights = hinted_heights(space), hinted_heights(flat)
         names = sorted(space.concrete) + list(space.family_ids())
         top = len(names) + 1
         candidates = [{k: rng.randint(0, 4) for k in names}]
@@ -701,7 +709,16 @@ def test_passing_candidates_dominate_the_heights():
             if is_dispersion(space, DispersionCandidate(values))[0]:
                 seen["pass"] += 1
                 assert all(values[k] >= heights[k] for k in names), values
+                assert all(values[f.id] >= (f.member_height_hint or 0) for f in space.families)
     assert seen["pass"] >= 300 and seen["chain"] >= 40, seen
+
+
+def test_candidate_below_a_family_hint_fails():
+    """The hint is the members' height, and a dispersion dominates it."""
+    space = FlaggedPriestley({"L"}, [], (AccumulationFamily("f", "L", member_height_hint=3),))
+    assert is_dispersion(space, DispersionCandidate({"L": 1, "f": 0})) == (
+        False, ("family-hint", "f"))
+    assert is_dispersion(space, DispersionCandidate({"L": 4, "f": 3})) == (True, None)
 
 
 def reference_dispersion(space, closed, values):
@@ -723,6 +740,9 @@ def reference_dispersion(space, closed, values):
     for f in space.families:
         if f.member_order == DESCENDING:
             return False, ("family-order", f.id, f.id)
+    for f in space.families:
+        if f.member_height_hint is not None and values[f.id] < f.member_height_hint:
+            return False, ("family-hint", f.id)
     return True, None
 
 
@@ -745,7 +765,7 @@ def assert_slice_structure(space, report, level):
 
 def test_dispersion_witness_against_full_scan():
     rng = random.Random(7373)
-    seen = {"pass": 0, "order": 0, "family-order": 0, "family-limit": 0}
+    seen = {"pass": 0, "order": 0, "family-order": 0, "family-limit": 0, "family-hint": 0}
     for _ in range(400):
         space = random_presentation(rng)
         if space is None:
@@ -764,6 +784,9 @@ def test_dispersion_witness_against_full_scan():
             nudged = dict(base)
             nudged[rng.choice(names)] = rng.randint(0, top)
             candidates.append(nudged)
+        for f in space.families:
+            if f.member_height_hint:  # a family one below its hint
+                candidates.append({**base, f.id: f.member_height_hint - 1})
         for values in candidates:
             candidate = DispersionCandidate(values)
             expected = reference_dispersion(space, closed, values)
