@@ -37,8 +37,8 @@ from .errors import PrismError
 
 # Copies of library values, so that building the parser and telling a group
 # from a file import nothing; tests pin each to its source: the suites of
-# oracles.SUITES, cube.ISOMAX_MAX_N, and the names and "<kind>:" prefixes
-# that liegroups.is_group_spec accepts.
+# oracles.SUITES, cube.ISOMAX_MAX_N, and the names and "<kind>:" prefixes of
+# liegroups._GROUP_NAMES and _GROUP_KINDS, which group_from_spec reads.
 _ORACLE_SUITES = ("cotoral", "derivative", "downsets", "isomax", "snf")
 _ISOMAX_MAX_N = 12
 _GROUP_NAMES = frozenset({"circle", "nsu3t", "o2", "so3"})

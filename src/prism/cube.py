@@ -211,10 +211,7 @@ def build_decomposition(group, bound):
     from .liegroups import flagged_snapshot
 
     snapshot = flagged_snapshot(group, bound)
-    heights = thomason_heights(snapshot)
-    if not heights.all_finite():
-        raise NotDispersible("snapshot of %r has points of infinite height" % (group,))
-    return decomposition_of(group, snapshot, heights)
+    return decomposition_of(group, snapshot, thomason_heights(snapshot))
 
 
 def decomposition_of(group, snapshot, heights):
@@ -254,97 +251,76 @@ def component_decompositions(group, bound):
     from .dispersion import thomason_heights
     from .liegroups import snapshot_parts
 
-    out = []
-    for label, piece in snapshot_parts(group, bound):
-        heights = thomason_heights(piece)
-        if not heights.all_finite():
-            raise NotDispersible("piece %r is not dispersible" % (label,))
-        out.append((label, decomposition_of(group, piece, heights)))
-    return out
+    return [
+        (label, decomposition_of(group, piece, thomason_heights(piece)))
+        for label, piece in snapshot_parts(group, bound)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # exports
 
 
-def _edge_kind_fields(kind):
-    if isinstance(kind, Projection):
-        return "projection", kind.j, None
-    if isinstance(kind, Diagonal):
-        return "diagonal", None, None
-    return "laxness", None, kind.zeta
+def _walk(diagram):
+    """Sorted nodes as (name, node), edges as (name, j, target name, kind,
+    zeta) with kind the edge class's name lower-cased; each subset named once."""
+    names = {phi: subset_name(phi) for phi in diagram.nodes}
+    nodes = [(names[phi], diagram.nodes[phi]) for phi in sorted(names)]
+    edges = [
+        (names[phi], j, names[tuple(sorted(phi + (j,)))],
+         type(edge).__name__.lower(), getattr(edge, "zeta", None))
+        for (phi, j), edge in sorted(diagram.edges.items())
+    ]
+    return nodes, edges
 
 
 def cube_to_json(diagram):
     """Schema cube/v1, mirroring the diagram fields."""
-    nodes = []
-    for phi in sorted(diagram.nodes):
-        node = diagram.nodes[phi]
-        nodes.append(
-            {
-                "subset": subset_name(phi),
-                "dim": node.cube_dim,
-                "stratum": node.stratum,
-                "factors": list(node.factor_labels),
-            }
-        )
-    edges = []
-    for (phi, j) in sorted(diagram.edges):
-        kind, proj, zeta = _edge_kind_fields(diagram.edges[(phi, j)])
-        edges.append(
-            {"from": subset_name(phi), "j": j, "kind": kind, "zeta": zeta}
-        )
+    nodes, edges = _walk(diagram)
     return json.dumps(
-        {"schema": "cube/v1", "n": diagram.n, "nodes": nodes, "edges": edges},
+        {
+            "schema": "cube/v1",
+            "n": diagram.n,
+            "nodes": [
+                {"subset": name, "dim": node.cube_dim, "stratum": node.stratum,
+                 "factors": list(node.factor_labels)}
+                for name, node in nodes
+            ],
+            "edges": [
+                {"from": name, "j": j, "kind": kind, "zeta": zeta}
+                for name, j, _, kind, zeta in edges
+            ],
+        },
         indent=2,
         sort_keys=True,
     )
 
 
 def cube_to_dot(diagram):
+    nodes, edges = _walk(diagram)
     lines = ["digraph cube {", "  node [shape=box];"]
-    for phi in sorted(diagram.nodes):
-        node = diagram.nodes[phi]
+    for name, node in nodes:
         label = "\\n".join(
-            ["phi=%s" % subset_name(phi), "dim=%d" % node.cube_dim,
-             "stratum=%d" % node.stratum]
-            + list(node.factor_labels)
+            ["phi=" + name, "dim=%d" % node.cube_dim, "stratum=%d" % node.stratum,
+             *node.factor_labels]
         )
-        lines.append('  "phi=%s" [label="%s"];' % (subset_name(phi), label))
-    for (phi, j) in sorted(diagram.edges):
-        kind, _, zeta = _edge_kind_fields(diagram.edges[(phi, j)])
-        target = tuple(sorted(phi + (j,)))
-        attrs = 'kind=%s' % kind
-        if zeta is not None:
-            attrs += ", zeta=%d" % zeta
-        lines.append(
-            '  "phi=%s" -> "phi=%s" [%s];'
-            % (subset_name(phi), subset_name(target), attrs)
-        )
+        lines.append('  "phi=%s" [label="%s"];' % (name, label))
+    for name, _, target, kind, zeta in edges:
+        attrs = "kind=" + kind if zeta is None else "kind=%s, zeta=%d" % (kind, zeta)
+        lines.append('  "phi=%s" -> "phi=%s" [%s];' % (name, target, attrs))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def cube_to_text(diagram):
-    lines = ["punctured cube of height %d (%d nodes)" % (diagram.n, len(diagram.nodes))]
-    for phi in sorted(diagram.nodes):
-        node = diagram.nodes[phi]
-        lines.append(
-            "phi=%s dim=%d stratum=%d" % (subset_name(phi), node.cube_dim, node.stratum)
-        )
-        for fl in node.factor_labels:
-            lines.append("  %s" % fl)
-    for (phi, j) in sorted(diagram.edges):
-        kind, proj, zeta = _edge_kind_fields(diagram.edges[(phi, j)])
-        extra = ""
-        if kind == "projection":
-            extra = " j=%d" % proj
-        if zeta is not None:
-            extra = " zeta=%d" % zeta
-        lines.append(
-            "edge phi=%s +%d: %s%s"
-            % (subset_name(phi), j, kind, extra)
-        )
+    nodes, edges = _walk(diagram)
+    lines = ["punctured cube of height %d (%d nodes)" % (diagram.n, len(nodes))]
+    for name, node in nodes:
+        lines.append("phi=%s dim=%d stratum=%d" % (name, node.cube_dim, node.stratum))
+        lines.extend("  " + fl for fl in node.factor_labels)
+    for name, j, _, kind, zeta in edges:
+        extra = " j=%d" % j if kind == "projection" else "" if zeta is None else " zeta=%d" % zeta
+        lines.append("edge phi=%s +%d: %s%s" % (name, j, kind, extra))
     return "\n".join(lines) + "\n"
 
 

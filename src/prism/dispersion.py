@@ -111,13 +111,6 @@ def thomason_derivative(space):
     return _subspace(type(space), space, keep, families)
 
 
-def _structural_floor(space, f, heights):
-    floor = 0
-    for c in f.member_gt:
-        floor = max(floor, heights[c] + 1)
-    return floor
-
-
 def thomason_heights(space):
     """Longest-path heights; infinite values mean not dispersible there."""
     value = dict.fromkeys(space.concrete, 0)
@@ -148,11 +141,11 @@ def thomason_heights(space):
             raise InconsistentHint(
                 "family %s declares a finite member height on a chain" % f.id
             )
-        floor = _structural_floor(space, f, heights)
-        if f.member_height_hint < floor:
+        # the pass holds max(hint, forced floor), or inf on a cycle or above one
+        if f.member_height_hint < fam_heights[f.id]:
             raise InconsistentHint(
                 "family %s declares member height %d below the forced %s"
-                % (f.id, f.member_height_hint, floor)
+                % (f.id, f.member_height_hint, fam_heights[f.id])
             )
     return HeightAssignment(heights, fam_heights)
 

@@ -44,11 +44,11 @@ def det(m):
     return total
 
 
-def matrix_order(m, cap=12):
-    """Multiplicative order of an integer matrix, or None if it exceeds cap."""
+def matrix_order(m):
+    """Multiplicative order of an integer matrix, or None if it exceeds 12."""
     n = len(m)
     acc = m
-    for k in range(1, cap + 1):
+    for k in range(1, 13):
         if acc == identity(n):
             return k
         acc = mat_mul(acc, m)

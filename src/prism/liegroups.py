@@ -312,6 +312,10 @@ class FiniteClass:
     weyl_order: int
     weyl_name: str = ""
 
+    def __post_init__(self):
+        if type(self.weyl_order) is not int or self.weyl_order < 1:
+            raise ValueError("Weyl order of %s must be an integer >= 1" % self.id)
+
     def component_name(self):
         return self.weyl_name or ("1" if self.weyl_order == 1 else "W%d" % self.weyl_order)
 
@@ -891,24 +895,17 @@ def finite_group_from_json(text):
     return FiniteGroup(tuple(classes))
 
 
-def _json_ints(value, field):
-    """``value`` checked to be a JSON array of integers (booleans are not)."""
-    if not (isinstance(value, list) and all(type(x) is int for x in value)):
-        raise ValueError("%s must be an array of integers" % field)
-    return tuple(value)
-
-
 def toral_semidirect_from_json(text):
     """Schema: {"rank": r, "generators": [[[..]..]..], "relations": [[..]..]}."""
     data = _json_object(json.loads(text), ("rank", "generators"), ("relations",))
     if type(data["rank"]) is not int:
         raise ValueError("rank must be an integer")
     gens = tuple(
-        tuple(_json_ints(row, "a generator row") for row in _json_list(g, "a generator", list))
+        tuple(_json_list(row, "a generator row", int) for row in _json_list(g, "a generator", list))
         for g in _json_list(data["generators"], "generators", list)
     )
     rels = tuple(
-        _json_ints(word, "a relation")
+        _json_list(word, "a relation", int)
         for word in _json_list(data.get("relations", []), "relations", list)
     )
     return ToralSemidirect(data["rank"], gens, rels)
@@ -927,12 +924,6 @@ _GROUP_KINDS = {
     "finite": lambda arg: finite_group_from_json(_read_text(arg)),
     "semidirect": lambda arg: toral_semidirect_from_json(_read_text(arg)),
 }
-
-
-def is_group_spec(spec):
-    """Whether ``spec`` is in the vocabulary of ``group_from_spec``."""
-    kind, colon, _ = spec.partition(":")
-    return spec in _GROUP_NAMES or bool(colon) and kind in _GROUP_KINDS
 
 
 def group_from_spec(spec):

@@ -34,10 +34,10 @@ class OracleMismatch(AssertionError):
     pass
 
 
-def check_isomax(max_n=6):
-    """Brute-force superset counting equals two to the isomax dimension."""
+def check_isomax():
+    """Brute-force superset counting equals two to the isomax dimension, n <= 6."""
     cases = 0
-    for n in range(max_n + 1):
+    for n in range(7):
         subsets = [
             phi for k in range(1, n + 2) for phi in combinations(range(n + 1), k)
         ]
@@ -85,9 +85,10 @@ def _coset_count(coords, cap):
     return len(seen)
 
 
-def check_snf_torsion(max_index=24):
+def check_snf_torsion():
     """Smith-form torsion-freeness equals coset enumeration for all nested
-    same-rank lattice pairs of index up to ``max_index``."""
+    same-rank lattice pairs of index up to 24."""
+    max_index = 24
     cases = 0
     pools = [(1, 6), (2, 4), (3, 2)]
     for rank, bound in pools:
@@ -223,7 +224,7 @@ def check_derivative_vs_heights(spaces=None, kmax=3):
     return cases
 
 
-def sample_posets(max_size=12):
+def sample_posets():
     """Structured and pseudo-random finite posets for the down-set oracle."""
     import random
 
@@ -238,14 +239,13 @@ def sample_posets(max_size=12):
     posets.append(
         FinitePriestley(frozenset(["g", "c1", "c2"]), [("c1", "g"), ("c2", "g")])
     )
-    if max_size >= 12:
-        # two parallel 6-chains: twelve points, 49 down-sets
-        pts = ["a%d" % i for i in range(6)] + ["b%d" % i for i in range(6)]
-        rel = [("a%d" % i, "a%d" % (i + 1)) for i in range(5)]
-        rel += [("b%d" % i, "b%d" % (i + 1)) for i in range(5)]
-        posets.append(FinitePriestley(frozenset(pts), rel))
+    # two parallel 6-chains: twelve points, 49 down-sets
+    pts = ["a%d" % i for i in range(6)] + ["b%d" % i for i in range(6)]
+    rel = [("a%d" % i, "a%d" % (i + 1)) for i in range(5)]
+    rel += [("b%d" % i, "b%d" % (i + 1)) for i in range(5)]
+    posets.append(FinitePriestley(frozenset(pts), rel))
     for trial in range(8):
-        n = rng.randint(4, min(8, max_size))
+        n = rng.randint(4, 8)
         pts = [chr(ord("a") + i) for i in range(n)]
         rel = []
         for i, j in combinations(range(n), 2):
@@ -255,15 +255,11 @@ def sample_posets(max_size=12):
     return posets
 
 
-def check_down_sets(posets=None):
+def check_down_sets():
     """Union-generated down-sets equal the exhaustive subset filter."""
-    if posets is None:
-        posets = sample_posets()
     cases = 0
-    for poset in posets:
+    for poset in sample_posets():
         pts = sorted(poset.points)
-        if len(pts) > 12:
-            raise ValueError("oracle is limited to 12 points")
         oracle = set()
         for mask in range(1 << len(pts)):
             s = frozenset(p for i, p in enumerate(pts) if mask >> i & 1)

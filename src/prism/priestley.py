@@ -308,8 +308,12 @@ class FlaggedPriestley:
 
     @cached_property
     def _down_up(self):
-        down = _transitive_closure(self.concrete, [(b, a) for (a, b) in self.covers])[1]
+        """Principal down- and up-sets: one closure, its up-sets transposed."""
         up = _transitive_closure(self.concrete, self.covers)[1]
+        down = {p: [] for p in up}
+        for p, s in up.items():
+            for q in s:
+                down[q].append(p)
         return (
             {p: frozenset(s) for p, s in down.items()},
             {p: frozenset(s) for p, s in up.items()},
@@ -557,12 +561,11 @@ def up_closure_symbolic(space, p):
 
 
 def inverse(space):
-    """Order reversal, an involution; a finite poset stays one."""
-    order = frozenset((b, a) for (a, b) in space.covers)
-    families = tuple(
-        replace(f, member_lt=f.member_gt, member_gt=f.member_lt) for f in space.families
-    )
-    return replace(space, order=order, families=families)
+    """Order reversal, an involution; a finite poset stays one.  The
+    reversed covers are the reversed order's covers: nothing is closed again."""
+    covers = frozenset((b, a) for (a, b) in space.covers)
+    families = (replace(f, member_lt=f.member_gt, member_gt=f.member_lt) for f in space.families)
+    return _assemble(type(space), space.concrete, covers, families)
 
 
 def thomason_points(space):
@@ -842,7 +845,7 @@ def realize_in_truncation(space, sym, depth):
 # JSON (schema flagged-priestley/v1)
 
 _FAMILY_OPTIONAL = ("memberOrder", "memberLt", "memberGt", "samples", "heightHint")
-_JSON_KINDS = {str: "strings", list: "arrays", dict: "objects"}
+_JSON_KINDS = {str: "strings", list: "arrays", dict: "objects", int: "integers"}
 
 
 def _json_object(data, required=(), optional=()):
@@ -860,9 +863,10 @@ def _json_object(data, required=(), optional=()):
 
 
 def _json_list(value, field, kind=str):
-    if not (isinstance(value, list) and all(isinstance(x, kind) for x in value)):
+    """``value`` checked to be a JSON array of exactly ``kind``, as a tuple."""
+    if not (type(value) is list and all(type(x) is kind for x in value)):
         raise ValueError("%s must be an array of %s" % (field, _JSON_KINDS[kind]))
-    return value
+    return tuple(value)
 
 
 def flagged_from_json(text):
@@ -890,7 +894,7 @@ def flagged_from_json(text):
                 member_order=fam.get("memberOrder", ANTICHAIN),
                 member_lt=frozenset(_json_list(fam.get("memberLt", []), "memberLt")),
                 member_gt=frozenset(_json_list(fam.get("memberGt", []), "memberGt")),
-                samples=tuple(_json_list(fam.get("samples", []), "samples")),
+                samples=_json_list(fam.get("samples", []), "samples"),
                 member_height_hint=fam.get("heightHint"),
             )
         )

@@ -27,8 +27,8 @@ LIMIT_BELOW = "limit-below"
 RELATIONS = (UNRELATED, LIMIT_ABOVE, DESCENDING_TO_LIMIT, LIMIT_BELOW)
 
 
-def convergent_sequence_space(relation, named=4, limit="inf"):
-    """A sequence of isolated points converging to ``limit``.
+def convergent_sequence_space(relation, named=4):
+    """A sequence of isolated points converging to the limit ``inf``.
 
     ``relation`` picks the order: ``unrelated`` (trivial order),
     ``limit-above`` (every member below the limit), ``descending-chain``
@@ -39,6 +39,7 @@ def convergent_sequence_space(relation, named=4, limit="inf"):
     """
     if relation not in RELATIONS:
         raise ValueError("unknown relation %r" % (relation,))
+    limit = "inf"
     if relation in (DESCENDING_TO_LIMIT, LIMIT_BELOW):
         fam = AccumulationFamily(
             id="tail",
@@ -58,6 +59,6 @@ def convergent_sequence_space(relation, named=4, limit="inf"):
     return FlaggedPriestley(frozenset(names) | {limit}, order, (fam,))
 
 
-def guiding_examples(named=4):
+def guiding_examples():
     """The four orders on one convergent sequence, in the canonical order."""
-    return tuple(convergent_sequence_space(r, named=named) for r in RELATIONS)
+    return tuple(map(convergent_sequence_space, RELATIONS))

@@ -182,8 +182,8 @@ def test_criterion_09_amenability():
 
 
 def test_criterion_10_oracles():
-    a = check_isomax(max_n=6)
-    b = check_snf_torsion(max_index=24)
+    a = check_isomax()
+    b = check_snf_torsion()
     c = check_derivative_vs_heights(kmax=3)
     d = check_down_sets()
     passline(10, "oracle equivalences: isomax %d, lattice pairs %d, "

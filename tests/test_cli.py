@@ -192,6 +192,9 @@ MALFORMED_INPUTS = [
     ("array-weyl-order", ["noetherian", "finite:"],
      {"classes": [{"id": "1", "weylOrder": [1]}]}),
     ("classes-not-array", ["noetherian", "finite:"], {"classes": 3}),
+    ("zero-weyl-order", ["cube", "finite:"],
+     {"classes": [{"id": "e", "weylOrder": 0}, {"id": "G", "weylOrder": -3}]}),
+    ("negative-weyl-order", ["noetherian", "finite:"], {"classes": [{"id": "G", "weylOrder": -3}]}),
     ("no-classes", ["noetherian", "finite:"], {}),
     ("no-generators", ["noetherian", "semidirect:"], {"rank": 1}),
     ("numeric-generators", ["noetherian", "semidirect:"], {"rank": 1, "generators": 5}),

@@ -22,6 +22,7 @@ from prism import (
     component_decompositions,
     cube_to_dot,
     cube_to_json,
+    cube_to_text,
     decomposition_of,
     factor_label,
     flagged_snapshot,
@@ -57,7 +58,7 @@ def test_isomax_examples():
 
 
 def test_isomax_against_enumeration():
-    assert check_isomax(max_n=6) > 0
+    assert check_isomax() > 0
 
 
 def test_isomax_members_n2_table():
@@ -248,3 +249,13 @@ def test_exports_are_deterministic():
     a = cube_to_json(build_decomposition(Torus(2), 2))
     b = cube_to_json(build_decomposition(Torus(2), 2))
     assert a == b
+
+
+@pytest.mark.parametrize("fmt", ["text", "dot", "json"])
+def test_exports_golden(fmt):
+    """The bytes of ``prism cube torus:2 --bound 2 --format <fmt>``: T^2 at
+    bound 2 has projection, diagonal and laxness edges."""
+    d = build_decomposition(Torus(2), 2)
+    export = {"text": cube_to_text, "dot": cube_to_dot, "json": lambda d: cube_to_json(d) + "\n"}
+    golden = (GOLDEN / ("cube_torus2_bound2.%s" % fmt)).read_bytes()
+    assert export[fmt](d).encode() == golden

@@ -107,7 +107,7 @@ def test_inconsistent_hint():
         (AccumulationFamily(id="f", limit="b", member_gt=frozenset({"a"}),
                             member_height_hint=0),),
     )
-    with pytest.raises(InconsistentHint):
+    with pytest.raises(InconsistentHint, match="^family f declares member height 0 below the forced 1$"):
         thomason_heights(bad)
     chain_hint = FlaggedPriestley(
         frozenset({"x"}),
@@ -117,6 +117,28 @@ def test_inconsistent_hint():
     )
     with pytest.raises(InconsistentHint):
         thomason_heights(chain_hint)
+
+
+def test_inconsistent_hint_below_an_infinite_floor():
+    """A family above a descending chain, or on a cycle through its own
+    limit, is forced to infinity, and the message says so."""
+    above_chain = FlaggedPriestley(
+        frozenset({"L", "M"}),
+        [],
+        (AccumulationFamily(id="d", limit="L", member_order=DESCENDING),
+         AccumulationFamily(id="f", limit="M", member_gt=frozenset({"L"}),
+                            member_height_hint=1)),
+    )
+    on_cycle = FlaggedPriestley(
+        frozenset({"L"}),
+        [],
+        (AccumulationFamily(id="f", limit="L", member_gt=frozenset({"L"}),
+                            member_height_hint=2),),
+    )
+    for space, hint in ((above_chain, 1), (on_cycle, 2)):
+        with pytest.raises(InconsistentHint) as err:
+            thomason_heights(space)
+        assert str(err.value) == "family f declares member height %d below the forced inf" % hint
 
 
 def test_candidate_values_must_be_naturals():
@@ -602,6 +624,47 @@ def test_derived_spaces_equal_their_rebuild():
         # families whose limit fell outside the down-set must be dropped
         dropped_limits += len(space.families) - len(sub.families)
     assert dropped_limits >= 50
+
+
+def test_inverse_equals_the_constructor_build(monkeypatch):
+    """``inverse`` assembles its result from the reversed covers, running no
+    space constructor; it equals the public constructor's build of the
+    reversed order with the family bounds swapped, with the same covers,
+    class and principal closures."""
+    rng = random.Random(7373)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        poset = FinitePriestley(
+            frozenset(range(n)),
+            [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3],
+        )
+        for space in (random_flagged_space(rng), random_presentation(rng), poset):
+            if space is not None:
+                built = type(space)(
+                    space.concrete,
+                    [(b, a) for (a, b) in space.order],
+                    [replace(f, member_lt=f.member_gt, member_gt=f.member_lt)
+                     for f in space.families],
+                )
+                cases.append((space, built))
+    assert sum(isinstance(s, FinitePriestley) for s, _ in cases) == 200
+    assert sum(bool(s.families) for s, _ in cases) >= 200
+
+    def constructed(space):
+        raise AssertionError("inverse ran a space constructor")
+
+    for cls in (FlaggedPriestley, FinitePriestley):
+        monkeypatch.setattr(cls, "__post_init__", constructed)
+    for space, built in cases:
+        flipped = inverse(space)
+        assert type(flipped) is type(space)
+        assert flipped == built and flipped.covers == built.covers
+        assert flipped.order == built.order
+        for p in space.concrete:
+            assert flipped.down_closure(p) == space.up_closure(p)
+            assert flipped.up_closure(p) == space.down_closure(p)
+        assert inverse(flipped) == space
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,21 @@ def test_each_command_loads_only_its_layers(tmp_path):
         assert "liegroups" in loaded and loaded.isdisjoint({"cube", "oracles"}), argv
 
 
+def in_group_vocabulary(spec):
+    """Whether ``group_from_spec`` reads ``spec`` as a group identifier: it
+    raises KeyMismatch only outside its vocabulary, while a missing file or
+    a malformed argument raises another error."""
+    from prism.liegroups import group_from_spec
+
+    try:
+        group_from_spec(spec)
+    except prism.KeyMismatch:
+        return False
+    except (OSError, ValueError):
+        pass
+    return True
+
+
 def test_cli_literals_match_the_library():
     from prism import cube, liegroups, oracles
 
@@ -135,6 +150,6 @@ def test_cli_literals_match_the_library():
     assert cli._ISOMAX_MAX_N == cube.ISOMAX_MAX_N
     assert cli._GROUP_NAMES == set(liegroups._GROUP_NAMES)
     assert cli._GROUP_KINDS == set(liegroups._GROUP_KINDS)
-    for spec in ("circle", "o2", "so3", "nsu3t", "torus:2", "finite:x.json",
-                 "semidirect:y.json", "su2", "torus", "space.json", "circle.json"):
-        assert cli._is_group_spec(spec) == liegroups.is_group_spec(spec), spec
+    for spec in ("circle", "o2", "so3", "nsu3t", "torus:2", "torus:x", "finite:x.json",
+                 "semidirect:y.json", "su2", "torus", "space.json", "circle.json", "circle:2"):
+        assert cli._is_group_spec(spec) == in_group_vocabulary(spec), spec

@@ -206,7 +206,7 @@ def test_down_sets_closed_under_union_and_intersection():
     from prism.oracles import sample_posets
 
     posets = [vee(), FinitePriestley(frozenset("abcde"), [("a", "b"), ("c", "b"), ("d", "e")])]
-    posets += sample_posets(max_size=12)
+    posets += sample_posets()
     for p in posets:
         family = set(down_sets(p))
         for a in family:
