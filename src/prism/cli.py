@@ -247,10 +247,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return handlers[args.command](args)
-    except PrismError as err:
-        sys.stderr.write("%s: %s\n" % (type(err).__name__, err))
-        return 1
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (PrismError, OSError, ValueError) as err:
         sys.stderr.write("%s: %s\n" % (type(err).__name__, err))
         return 1
 

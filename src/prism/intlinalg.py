@@ -1,8 +1,11 @@
 """Exact linear algebra over the integers and the rationals.
 
 Everything here is sized for lattices and representations of rank <= 3,
-so the implementations favour clarity over asymptotics: plain Python
-integers, ``fractions.Fraction``, and textbook row reduction.
+so the implementations favour clarity over asymptotics.  One integer
+engine, ``hermite_normal_form``, does the elimination: the Smith invariant
+factors come from alternating row and column Hermite forms.  Rational
+vectors are tuples of ``fractions.Fraction``; ``fvec`` alone creates them
+and imports the module, so the integer routines load no ``fractions``.
 
 Matrices are tuples of tuples, rows are tuples.  Integer lattices are
 given by generating rows; ``hermite_normal_form`` produces the canonical
@@ -10,7 +13,7 @@ representative (positive pivots, entries above a pivot reduced into
 ``[0, pivot)``, zero rows dropped).
 """
 
-from fractions import Fraction
+from math import gcd
 
 
 # ---------------------------------------------------------------------------
@@ -121,60 +124,24 @@ def solve_in_lattice(hnf_rows, vector):
 
 
 def snf_invariant_factors(m):
-    """Nonzero invariant factors of an integer matrix, ascending divisibility."""
-    work = [list(r) for r in m]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    factors = []
-    t = 0
-    while t < nrows and t < ncols:
-        # choose a nonzero entry of minimal absolute value in the block
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = abs(work[i][j])
-                if x and (best is None or x < abs(work[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        work[t], work[bi] = work[bi], work[t]
-        for r in work:
-            r[t], r[bj] = r[bj], r[t]
-        pivot = work[t][t]
-        # reduce row/column; any nonzero remainder is strictly smaller, so
-        # re-selecting the minimal entry terminates
-        dirty = False
-        for i in range(t + 1, nrows):
-            if work[i][t]:
-                q = work[i][t] // pivot
-                for k in range(ncols):
-                    work[i][k] -= q * work[t][k]
-                dirty = dirty or work[i][t] != 0
-        for j in range(t + 1, ncols):
-            if work[t][j]:
-                q = work[t][j] // pivot
-                for r in work:
-                    r[j] -= q * r[t]
-                dirty = dirty or work[t][j] != 0
-        if dirty:
-            continue
-        # pivot must divide the remaining block
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if work[i][j] % pivot != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for k in range(ncols):
-                work[t][k] += work[offender][k]
-            continue
-        factors.append(abs(pivot))
-        t += 1
-    return tuple(factors)
+    """Nonzero invariant factors of an integer matrix, ascending divisibility.
+
+    Row and column Hermite forms alternate until only diagonal entries are
+    nonzero.  Each round's first pivot is the gcd of the previous first row
+    or column, so it only shrinks; once it stops shrinking it divides that
+    row and column, which the Hermite form has then already cleared, and
+    the rounds go on in the block below it.  Replacing each pair of
+    diagonal entries by their gcd and lcm puts them in divisibility order.
+    """
+    a = hermite_normal_form(m)
+    while any(x for i, row in enumerate(a) for j, x in enumerate(row) if j != i):
+        a = hermite_normal_form(zip(*a))
+    d = [row[i] for i, row in enumerate(a)]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(d)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +149,8 @@ def snf_invariant_factors(m):
 
 
 def fvec(v):
+    from fractions import Fraction
+
     return tuple(Fraction(x) for x in v)
 
 
@@ -195,7 +164,7 @@ def rref(vectors):
         if pivot_row is None:
             continue
         work.remove(pivot_row)
-        inv = Fraction(1) / pivot_row[col]
+        inv = 1 / pivot_row[col]
         pivot_row = [x * inv for x in pivot_row]
         for r in work + basis:
             if r[col] != 0:
@@ -221,8 +190,8 @@ def kernel(matrix_rows, ncols):
     free = [j for j in range(ncols) if j not in pivots]
     out = []
     for j in free:
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
+        v = list(fvec([0] * ncols))
+        v[j] += 1
         for row, p in zip(basis, pivots):
             v[p] = -row[j]
         out.append(tuple(v))

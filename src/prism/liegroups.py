@@ -363,7 +363,8 @@ class _OneDim(_Group):
     torus; None when there is no central torus) and Weyl data.
     ``_SNAPSHOT`` holds the cyclic family's limit, the first dihedral
     parameter and the dihedral family's limit (None: no dihedral family),
-    the unit keys in naming order, and the keys that form singleton parts.
+    and the keys that form singleton parts.  The snapshot names the unit
+    keys of ``_KEYS`` in its order, after the cyclic and dihedral keys.
     """
 
     def _canonical(self, key):
@@ -394,17 +395,18 @@ class _OneDim(_Group):
         return self._SNAPSHOT[2] is None
 
     def _snapshot(self, bound):
-        cyc_limit, dih_start, dih_limit, extra, singles = self._SNAPSHOT
+        cyc_limit, dih_start, dih_limit, singles = self._SNAPSHOT
         cyclic = [Cyc(n) for n in range(1, bound + 1)]
         dihedral = [Dih(n) for n in range(dih_start, bound + 1)] if dih_limit else []
-        keys = {k.name: k for k in cyclic + dihedral + list(extra)}
-        samples = tuple("C(%d)" % n for n in range(bound + 1, bound + 4))
+        units = [cls() for cls in self._KEYS if issubclass(cls, _UnitKey)]
+        keys = {k.name: k for k in cyclic + dihedral + units}
+        samples = tuple(Cyc(n).name for n in range(bound + 1, bound + 4))
         fams = [AccumulationFamily("cyclic", cyc_limit, member_lt=frozenset({cyc_limit}),
                                    samples=samples)]
         parts = [("cyclic", tuple(k.name for k in cyclic) + (cyc_limit,), ("cyclic",))]
         if dih_limit:
             dstart = max(dih_start, bound + 1)
-            samples = tuple("D(%d)" % (2 * n) for n in range(dstart, dstart + 3))
+            samples = tuple(Dih(n).name for n in range(dstart, dstart + 3))
             fams.append(AccumulationFamily("dihedral", dih_limit, samples=samples))
             dih_names = tuple(k.name for k in dihedral) + (dih_limit,)
             parts.append(("dihedral", dih_names, ("dihedral",)))
@@ -423,7 +425,7 @@ class Circle(_OneDim):
         Cyc: (0, 0, None, WeylData("SO(2)", 1, "1")),
         FullKey: (1, 1, _TRIVIAL_LINE, _TRIVIAL_WEYL),
     }
-    _SNAPSHOT = ("G", None, None, (FullKey(),), ())
+    _SNAPSHOT = ("G", None, None, ())
 
 
 @dataclass(frozen=True)
@@ -434,7 +436,7 @@ class O2(_OneDim):
         SO2Key: (1, 1, _TRIVIAL_LINE, _C2_WEYL),
         FullKey: (1, 1, _NEGATION, _TRIVIAL_WEYL),
     }
-    _SNAPSHOT = ("SO2", 1, "G", (SO2Key(), FullKey()), ())
+    _SNAPSHOT = ("SO2", 1, "G", ())
 
 
 @dataclass(frozen=True)
@@ -451,9 +453,7 @@ class SO3(_OneDim):
         FullKey: (3, 1, None, _TRIVIAL_WEYL),
     }
     # Dih(1) and Dih(2) fuse with C(2) and V4, so the dihedral keys start at 3
-    _SNAPSHOT = ("SO2", 3, "O2",
-                 (SO2Key(), O2Key(), A4Key(), S4Key(), A5Key(), KleinKey(), FullKey()),
-                 ("G", "A4", "S4", "A5", "V4"))
+    _SNAPSHOT = ("SO2", 3, "O2", ("G", "A4", "S4", "A5", "V4"))
 
     def _canonical(self, key):
         if isinstance(key, Dih) and key.n <= 2:
@@ -496,8 +496,8 @@ class Torus(_Group):
         return all(f == 1 for f in la.snf_invariant_factors(coords)) if coords else True
 
     def _height(self, key):
-        corank = key.corank()
-        return count_simple_summands(IntegerAction(corank, ())) if corank else 0
+        # the action on H_1 of the central torus is trivial: one summand per dimension
+        return key.corank()
 
     def _weyl(self, key):
         k = len(key.rows)

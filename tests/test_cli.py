@@ -125,12 +125,17 @@ def test_closed_sets_past_the_class_limit(monkeypatch, capsys):
 
 
 def test_exit_codes(tmp_path, capsys):
-    # domain error: NotDispersible
     space = guiding_examples()[2]
     path = tmp_path / "chain.json"
     path.write_text(flagged_to_json(space))
     code, out, err = run(capsys, "check-dispersion", str(path), str(tmp_path / "x.json"))
-    assert code == 1 and "Error" in err or "No such" in err
+    assert code == 1 and out == "" and err.startswith("FileNotFoundError: ")
+    # a candidate that is no dispersion is a verdict, not an error
+    candidate = tmp_path / "candidate.json"
+    candidate.write_text(json.dumps({"inf": 1, "tail": 0}))
+    code, out, err = run(capsys, "check-dispersion", str(path), str(candidate))
+    assert code == 0 and err == ""
+    assert out == "false witness=('family-order', 'inf', 'tail')\n"
     code, _, err = run(capsys, "noetherian", "su2")
     assert code == 1 and err.startswith("KeyMismatch")
     with pytest.raises(SystemExit) as exc:

@@ -100,14 +100,16 @@ def test_import_prism_loads_no_submodule():
 
 
 def loaded_by_command(argv):
-    """The prism modules a fresh interpreter holds after ``prism.cli.main``."""
+    """The prism modules a fresh interpreter holds after ``prism.cli.main``,
+    and ``fractions`` if it holds that too."""
     code, loaded = run_fresh(
         "import io, json, sys\n"
         "import prism.cli\n"
         "sys.stdout = io.StringIO()\n"
         "code = prism.cli.main(%r)\n"
         "sys.stdout = sys.__stdout__\n"
-        "print(json.dumps([code, sorted(m[6:] for m in sys.modules if m.startswith('prism.'))]))"
+        "print(json.dumps([code, sorted(m.removeprefix('prism.') for m in sys.modules\n"
+        "    if m.startswith('prism.') or m == 'fractions')]))"
         % (argv,)
     )
     assert code == 0, argv
@@ -126,6 +128,10 @@ def test_each_command_loads_only_its_layers(tmp_path):
     for argv in (["noetherian", "so3"], ["heights", "circle"]):
         loaded = loaded_by_command(argv)
         assert "liegroups" in loaded and loaded.isdisjoint({"cube", "oracles"}), argv
+    # only the rational routines of intlinalg, which these commands never
+    # reach, create Fractions
+    for argv in (["heights", "circle"], ["cube", "torus:2"], ["noetherian", "so3"]):
+        assert "fractions" not in loaded_by_command(argv), argv
 
 
 def in_group_vocabulary(spec):

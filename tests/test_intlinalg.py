@@ -1,6 +1,9 @@
 """Exact linear algebra: canonical forms and rational subspace helpers."""
 
 import random
+from functools import reduce
+from itertools import combinations
+from math import gcd
 
 from fractions import Fraction
 
@@ -76,6 +79,26 @@ def test_snf_determinant_and_divisibility():
             assert prod == abs(d)
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
+
+
+def test_snf_against_determinantal_divisors():
+    # the product of the first k factors is the gcd of all k x k minors;
+    # the minors are cofactor determinants, independent of any elimination
+    rng = random.Random(10)
+    for _ in range(1500):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        m = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(nrows)]
+        factors = la.snf_invariant_factors(m)
+        assert len(factors) == len(la.hermite_normal_form(m))
+        prod = 1
+        for k, f in enumerate(factors, 1):
+            prod *= f
+            minors = (
+                la.det(tuple(tuple(m[i][j] for j in cols) for i in rows))
+                for rows in combinations(range(nrows), k)
+                for cols in combinations(range(ncols), k)
+            )
+            assert prod == reduce(gcd, minors, 0), m
 
 
 def test_solve_in_lattice():
