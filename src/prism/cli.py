@@ -127,10 +127,11 @@ def _cmd_heights(args):
 
 def _cmd_check_dispersion(args):
     from .dispersion import DispersionCandidate, is_dispersion
+    from .priestley import _json_loads
 
     space = _resolve_space(args.space, args.bound)
     with open(args.candidate, encoding="utf-8") as fh:
-        values = json.loads(fh.read())
+        values = _json_loads(fh.read())
     if not (isinstance(values, dict) and all(type(v) is int for v in values.values())):
         raise ValueError("a candidate must be a JSON object of integers")
     ok, witness = is_dispersion(space, DispersionCandidate(values))
@@ -205,8 +206,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(name, text, *positionals, bound=True, fmt=None):
+    def common(name, handler, text, *positionals, bound=True, fmt=None):
         p = sub.add_parser(name, help=text)
+        p.set_defaults(run=handler)
         for arg in positionals:
             p.add_argument(arg)
         if bound:
@@ -216,37 +218,26 @@ def build_parser():
         p.add_argument("--out", default=None)
         return p
 
-    common("show", "describe a space", "space")
-    common("heights", "Thomason height table", "space", fmt=("text", "json"))
-    common("check-dispersion", "test a candidate dispersion", "space", "candidate")
-    common("closed-sets", "clopen down-set classes", "space")
-    common("noetherian", "Noetherian verdict for a group", "group", bound=False)
-    common("cube", "decomposition diagram", "group", fmt=("text", "dot", "json"))
-    common("isomax", "isomax dimension table", bound=False).add_argument(
+    common("show", _cmd_show, "describe a space", "space")
+    common("heights", _cmd_heights, "Thomason height table", "space", fmt=("text", "json"))
+    common("check-dispersion", _cmd_check_dispersion, "test a candidate dispersion",
+           "space", "candidate")
+    common("closed-sets", _cmd_closed_sets, "clopen down-set classes", "space")
+    common("noetherian", _cmd_noetherian, "Noetherian verdict for a group", "group", bound=False)
+    common("cube", _cmd_cube, "decomposition diagram", "group", fmt=("text", "dot", "json"))
+    common("isomax", _cmd_isomax, "isomax dimension table", bound=False).add_argument(
         "n", type=int, help="0 <= n <= %d" % _ISOMAX_MAX_N
     )
-    common("oracle", "run brute-force cross-checks", bound=False).add_argument(
+    common("oracle", _cmd_oracle, "run brute-force cross-checks", bound=False).add_argument(
         "suite", choices=list(_ORACLE_SUITES) + ["all"]
     )
-
-    handlers = {
-        "show": _cmd_show,
-        "heights": _cmd_heights,
-        "check-dispersion": _cmd_check_dispersion,
-        "closed-sets": _cmd_closed_sets,
-        "noetherian": _cmd_noetherian,
-        "cube": _cmd_cube,
-        "isomax": _cmd_isomax,
-        "oracle": _cmd_oracle,
-    }
-    return parser, handlers
+    return parser
 
 
 def main(argv=None):
-    parser, handlers = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (PrismError, OSError, ValueError) as err:
         sys.stderr.write("%s: %s\n" % (type(err).__name__, err))
         return 1

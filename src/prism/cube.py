@@ -68,14 +68,15 @@ def isomax_dim(phi, n):
 
 
 def isomax_members(phi, n):
-    """The supersets of phi inside [0,n] with the same maximum."""
+    """The supersets of phi inside [0,n] with the same maximum, by size and
+    then lexicographically, the order in which they are generated."""
     phi = _check_subset(phi, n)
     free = [j for j in range(phi[-1]) if j not in phi]
     out = []
     for k in range(len(free) + 1):
         for extra in combinations(free, k):
             out.append(tuple(sorted(phi + extra)))
-    return sorted(out, key=lambda m: (len(m), m))
+    return out
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .priestley import (
     FinitePriestley,
     FlaggedPriestley,
     SymbolicSet,
+    _assemble,
     _forced_closure,
     _kahn,
     _subspace,
@@ -61,9 +62,7 @@ class HeightAssignment:
         return self.family_heights[name]
 
     def all_finite(self):
-        return all(v != inf for v in self.heights.values()) and all(
-            v != inf for v in self.family_heights.values()
-        )
+        return self.max_height() != inf
 
     def max_height(self):
         values = list(self.heights.values()) + list(self.family_heights.values())
@@ -152,11 +151,11 @@ def thomason_heights(space):
 
 def trivialize(space):
     """Forget the order but keep the convergence data (for CB heights)."""
-    families = tuple(
+    families = (
         replace(f, member_order=ANTICHAIN, member_lt=frozenset(), member_gt=frozenset())
         for f in space.families
     )
-    return FlaggedPriestley(space.concrete, frozenset(), families)
+    return _assemble(FlaggedPriestley, space.concrete, frozenset(), families)
 
 
 def cb_heights(space):
@@ -169,8 +168,7 @@ def is_dispersible(space):
 
 
 def height_of_space(space):
-    ha = thomason_heights(space)
-    return ha.max_height() if ha.all_finite() else inf
+    return thomason_heights(space).max_height()
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, inf
-import json
 import re
 
 from .errors import DimTooLarge, KeyMismatch, NotInvariant, UnsupportedGroup
@@ -51,6 +50,7 @@ from .priestley import (
     AccumulationFamily,
     FlaggedPriestley,
     _json_list,
+    _json_loads,
     _json_object,
     restrict,
 )
@@ -173,7 +173,7 @@ def _sign_eigenspace(action, signs):
     for g, e in zip(action.generators, signs):
         for i in range(action.dim):
             rows.append(tuple(g[i][j] - (e if i == j else 0) for j in range(action.dim)))
-    return la.kernel([la.fvec(r) for r in rows], action.dim)
+    return la.kernel(rows, action.dim)
 
 
 def count_simple_summands(action):
@@ -248,16 +248,14 @@ def normalizer_directions(action, subspace):
 
 
 def _check_invariant(action, subspace):
-    """Raise NotInvariant unless each generator maps each basis vector into
-    the span: adding the image leaves the span's dimension unchanged."""
+    """Raise NotInvariant unless the generators map the basis vectors into
+    the span: adding all their images at once leaves its dimension unchanged."""
     if any(len(v) != action.dim for v in subspace):
         raise ValueError("subspace vectors must have length %d" % action.dim)
-    rank = la.span_dim(subspace)
-    for g in action.generators:
-        for v in subspace:
-            image = tuple(sum(a * x for a, x in zip(row, v)) for row in g)
-            if la.span_dim(subspace + [image]) != rank:
-                raise NotInvariant("subspace is not invariant under the action")
+    images = [tuple(sum(a * x for a, x in zip(row, v)) for row in g)
+              for g in action.generators for v in subspace]
+    if la.span_dim(subspace + images) != la.span_dim(subspace):
+        raise NotInvariant("subspace is not invariant under the action")
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +353,7 @@ class FiniteGroup(_Group):
         return {n: FiniteIdx(i) for i, n in enumerate(names)}, [], [], parts
 
 
+@dataclass(frozen=True)
 class _OneDim(_Group):
     """The circle, O(2) and SO(3), read off two class tables.
 
@@ -365,6 +364,7 @@ class _OneDim(_Group):
     parameter and the dihedral family's limit (None: no dihedral family),
     and the keys that form singleton parts.  The snapshot names the unit
     keys of ``_KEYS`` in its order, after the cyclic and dihedral keys.
+    The subclasses share this decoration: two groups are equal when of one class.
     """
 
     def _canonical(self, key):
@@ -419,7 +419,6 @@ class _OneDim(_Group):
 _C2_WEYL = WeylData("1", 2, "C2")
 
 
-@dataclass(frozen=True)
 class Circle(_OneDim):
     _KEYS = {
         Cyc: (0, 0, None, WeylData("SO(2)", 1, "1")),
@@ -428,7 +427,6 @@ class Circle(_OneDim):
     _SNAPSHOT = ("G", None, None, ())
 
 
-@dataclass(frozen=True)
 class O2(_OneDim):
     _KEYS = {
         Cyc: (0, 0, None, WeylData("SO(2)", 2, "C2")),
@@ -439,7 +437,6 @@ class O2(_OneDim):
     _SNAPSHOT = ("SO2", 1, "G", ())
 
 
-@dataclass(frozen=True)
 class SO3(_OneDim):
     _KEYS = {
         Cyc: (0, 0, None, WeylData("SO(2)", 2, "C2")),
@@ -567,12 +564,12 @@ class ToralSemidirect(_Group):
     relations: tuple = ()
 
     def __post_init__(self):
-        gens = tuple(_int_matrix(g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "relations", tuple(tuple(w) for w in self.relations))
         if not 1 <= self.rank <= 3:
             raise ValueError("rank must be between 1 and 3")
-        IntegerAction(self.rank, gens)  # square, invertible and of finite order
+        # integer, square, invertible and of finite order
+        gens = IntegerAction(self.rank, self.generators).generators
+        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "relations", tuple(tuple(w) for w in self.relations))
         for word in self.relations:
             if not all(type(i) is int and 0 <= i < len(gens) for i in word):
                 raise ValueError("relation %r is not a word in the generator indices" % (word,))
@@ -879,7 +876,7 @@ def rank_candidate(group, space):
 
 def finite_group_from_json(text):
     """Schema: {"classes": [{"id", "weylOrder", "weylName"?}, ...]}."""
-    data = _json_object(json.loads(text), ("classes",))
+    data = _json_object(_json_loads(text), ("classes",))
     classes = []
     for entry in _json_list(data["classes"], "classes", dict):
         _json_object(entry, ("id", "weylOrder"), ("weylName",))
@@ -897,7 +894,7 @@ def finite_group_from_json(text):
 
 def toral_semidirect_from_json(text):
     """Schema: {"rank": r, "generators": [[[..]..]..], "relations": [[..]..]}."""
-    data = _json_object(json.loads(text), ("rank", "generators"), ("relations",))
+    data = _json_object(_json_loads(text), ("rank", "generators"), ("relations",))
     if type(data["rank"]) is not int:
         raise ValueError("rank must be an integer")
     gens = tuple(

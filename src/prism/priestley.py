@@ -258,12 +258,12 @@ class FlaggedPriestley:
     closed pair set ``order`` is no stored field value: the constructor
     drops it from the instance and ``__getattr__`` closes it again from the
     principal up-sets on first read.  Principal down- and up-sets come from
-    one index of both directions, cover lists per lower and per upper point
-    from two more, and the forced closures read a trigger index; all four
-    are cached properties built on first use, not dataclass fields, so
+    one index of both directions, cover lists per lower point from
+    another, and the forced closures read a trigger index; all three are
+    cached properties built on first use, not dataclass fields, so
     equality, hashing and ``dataclasses.replace`` see only the fields.  The
-    down- and up-set tests read the cover lists, so they cost the covers at
-    the points of the set, not their principal closures.
+    down- and up-set tests scan the covers once, not the principal
+    closures of the set's points.
     """
 
     concrete: frozenset
@@ -327,33 +327,15 @@ class FlaggedPriestley:
             above.setdefault(ab[0], []).append(ab)
         return above
 
-    @cached_property
-    def _covers_below(self):
-        """Upper point -> the points it covers."""
-        below = {}
-        for (a, b) in self.covers:
-            below.setdefault(b, []).append(a)
-        return below
-
     def is_down_set(self, subset):
         """Whether ``subset`` holds everything below its points.  By
         transitivity it is enough that it holds the points they cover."""
-        below = self._covers_below
-        for p in subset:
-            for a in below.get(p, ()):
-                if a not in subset:
-                    return False
-        return True
+        return all(a in subset for (a, b) in self.covers if b in subset)
 
     def is_up_set(self, subset):
         """Whether ``subset`` holds everything above its points, read off
         the covers as in ``is_down_set``."""
-        above = self._covers_above
-        for p in subset:
-            for (_, b) in above.get(p, ()):
-                if b not in subset:
-                    return False
-        return True
+        return all(b in subset for (a, b) in self.covers if a in subset)
 
     def down_closure(self, p):
         return self._down_up[0].get(p, frozenset())
@@ -722,7 +704,7 @@ def clopen_down_sets(space):
     return tuple(out)
 
 
-def _assemble(cls, points, covers, families=()):
+def _assemble(cls, points, covers, families):
     """A space of class ``cls`` with its fields set directly, for spaces
     made from an already-built one: the covers are not closed and the
     families not checked again."""
@@ -733,7 +715,7 @@ def _assemble(cls, points, covers, families=()):
     return space
 
 
-def _subspace(cls, space, points, families=()):
+def _subspace(cls, space, points, families):
     """The subspace of ``space`` on the frozenset ``points``, of class
     ``cls``, equal to what the public constructor builds from its fields.
 
@@ -862,6 +844,14 @@ def _json_object(data, required=(), optional=()):
     return data
 
 
+def _json_loads(text):
+    """``json.loads``, raising ValueError on input nested too deeply for it."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def _json_list(value, field, kind=str):
     """``value`` checked to be a JSON array of exactly ``kind``, as a tuple."""
     if not (type(value) is list and all(type(x) is kind for x in value)):
@@ -875,7 +865,7 @@ def flagged_from_json(text):
     Unknown fields, missing required fields and fields of the wrong type
     raise ValueError.
     """
-    data = _json_object(json.loads(text), optional=("points", "order", "families"))
+    data = _json_object(_json_loads(text), optional=("points", "order", "families"))
     points = _json_list(data.get("points", []), "points")
     order = []
     for pair in _json_list(data.get("order", []), "order", list):

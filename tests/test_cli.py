@@ -1,6 +1,7 @@
 """The command line is a thin, deterministic adapter over the library."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,12 @@ from prism import flagged_snapshot, flagged_to_json, Circle, guiding_examples, p
 from prism.cli import heights_table, main
 from prism.cube import build_decomposition, cube_to_json, isomax_table
 from prism.liegroups import O2
+from prism.oracles import run_suite
+
+GOLDEN = Path(__file__).parent / "golden"
+SUBCOMMANDS = (
+    "show", "heights", "check-dispersion", "closed-sets", "noetherian", "cube", "isomax", "oracle"
+)
 
 
 def run(capsys, *argv):
@@ -138,9 +145,31 @@ def test_exit_codes(tmp_path, capsys):
     assert out == "false witness=('family-order', 'inf', 'tail')\n"
     code, _, err = run(capsys, "noetherian", "su2")
     assert code == 1 and err.startswith("KeyMismatch")
+    for argv in (["heights", "torus:4"], ["heights", "circle", "--bound", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.startswith("ValueError: ")
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [pytest.param([], "usage_no_command.txt", id="no-command"),
+     pytest.param(["--help"], "help.txt", id="help")]
+    + [pytest.param([c, "--help"], "help_%s.txt" % c, id=c) for c in SUBCOMMANDS],
+)
+def test_parser_surface_golden(monkeypatch, capsys, argv, name):
+    # the help pages and the usage error, as argparse lays them out in 80 columns
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    expected = (GOLDEN / name).read_text(encoding="utf-8")
+    if argv:
+        assert exc.value.code == 0 and captured == (expected, "")
+    else:
+        assert exc.value.code == 2 and captured == ("", expected)
 
 
 def test_deterministic_output(capsys):
@@ -172,6 +201,8 @@ def test_oracle_command(capsys):
     assert code == 0 and out.startswith("ok isomax (")
     code, out, _ = run(capsys, "oracle", "downsets")
     assert code == 0 and "ok downsets" in out
+    with pytest.raises(ValueError, match="unknown oracle suite 'nope'"):
+        list(run_suite("nope"))
 
 
 
@@ -179,8 +210,30 @@ def _family(**fields):
     return {"points": ["a"], "families": [{"id": "f", "limit": "a", **fields}]}
 
 
-# (case, command, JSON file contents); the file path ends the command
+class Raw(str):
+    """File contents written as they are, not as JSON."""
+
+
+DEEP = Raw("[" * 100000)
+
+# (case, command, file contents: JSON data or Raw text); the file path ends
+# the command
 MALFORMED_INPUTS = [
+    ("deep-flagged", ["heights"], DEEP),
+    ("deep-finite", ["noetherian", "finite:"], DEEP),
+    ("deep-semidirect", ["noetherian", "semidirect:"], DEEP),
+    ("deep-candidate", ["check-dispersion", "circle"], DEEP),
+    ("flagged-array", ["heights"], []),
+    ("duplicate-family-ids", ["heights"],
+     {"points": ["a"], "families": [{"id": "f", "limit": "a"}, {"id": "f", "limit": "a"}]}),
+    ("family-id-is-a-point", ["heights"],
+     {"points": ["a"], "families": [{"id": "a", "limit": "a"}]}),
+    ("unknown-limit", ["heights"], {"points": ["a"], "families": [{"id": "f", "limit": "b"}]}),
+    ("bound-unknown-point", ["heights"], _family(memberLt=["b"])),
+    ("unknown-member-order", ["heights"], _family(memberOrder="zigzag")),
+    ("overlapping-bounds", ["heights"],
+     {"points": ["a", "b"],
+      "families": [{"id": "f", "limit": "a", "memberLt": ["b"], "memberGt": ["b"]}]}),
     ("family-without-limit", ["heights"], {"points": ["a"], "families": [{"id": "f"}]}),
     ("family-without-id", ["heights"], {"points": ["a"], "families": [{"limit": "a"}]}),
     ("numeric-limit", ["heights"], {"points": ["a"], "families": [{"id": "f", "limit": 1}]}),
@@ -201,6 +254,13 @@ MALFORMED_INPUTS = [
      {"classes": [{"id": "e", "weylOrder": 0}, {"id": "G", "weylOrder": -3}]}),
     ("negative-weyl-order", ["noetherian", "finite:"], {"classes": [{"id": "G", "weylOrder": -3}]}),
     ("no-classes", ["noetherian", "finite:"], {}),
+    ("duplicate-class-ids", ["noetherian", "finite:"],
+     {"classes": [{"id": "1", "weylOrder": 1}, {"id": "1", "weylOrder": 1}]}),
+    ("relation-fails", ["noetherian", "semidirect:"],
+     {"rank": 1, "generators": [[[-1]]], "relations": [[0]]}),
+    ("rank-4", ["noetherian", "semidirect:"], {"rank": 4, "generators": []}),
+    ("infinite-order", ["noetherian", "semidirect:"], {"rank": 2, "generators": [[[1, 1], [0, 1]]]}),
+    ("generator-shape", ["noetherian", "semidirect:"], {"rank": 2, "generators": [[[1]]]}),
     ("no-generators", ["noetherian", "semidirect:"], {"rank": 1}),
     ("numeric-generators", ["noetherian", "semidirect:"], {"rank": 1, "generators": 5}),
     ("unknown-generator", ["noetherian", "semidirect:"],
@@ -225,7 +285,7 @@ MALFORMED_INPUTS = [
 )
 def test_malformed_input_is_a_value_error(tmp_path, capsys, command, contents):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(contents))
+    path.write_text(contents if isinstance(contents, Raw) else json.dumps(contents))
     if command[-1].endswith(":"):
         argv = command[:-1] + [command[-1] + str(path)]
     else:

@@ -1,6 +1,7 @@
 """Punctured-cube combinatorics and decomposition diagrams."""
 
 import json
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from prism import (
     Circle,
+    CubeDiagram,
     Diagonal,
     FiniteClass,
     FiniteGroup,
@@ -55,6 +57,9 @@ def test_isomax_examples():
     assert isomax_dim((2,), 2) == 2
     assert isomax_dim((0, 1, 2), 2) == 0
     assert isomax_dim((0, 2), 2) == 1
+    for phi in ((), (3,)):  # empty, and outside [0,2]
+        with pytest.raises(ValueError):
+            isomax_dim(phi, 2)
 
 
 def test_isomax_against_enumeration():
@@ -117,6 +122,8 @@ def test_punctured_cube_counts():
     assert len(punctured_cube(3).points) == 15
     cube = punctured_cube(2)
     assert cube.le("0", "02") and not cube.le("02", "0")
+    with pytest.raises(ValueError):
+        punctured_cube(-1)
 
 
 def test_recollement_schedule():
@@ -127,6 +134,8 @@ def test_recollement_schedule():
     s2 = recollement_schedule(2)
     assert [s.label for s in s2] == ["Gamma_{P_1} . t_0", "t_1"]
     assert [s.residual for s in s2] == [(1, 2), (2,)]
+    with pytest.raises(ValueError):
+        recollement_schedule(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +177,12 @@ def test_node_count_invariant():
     for group, bound in [(Circle(), 2), (O2(), 2), (Torus(2), 2), (sym3(), 1)]:
         d = build_decomposition(group, bound)
         assert len(d.nodes) == 2 ** (d.n + 1) - 1
+    d = build_decomposition(Circle(), 2)
+    with pytest.raises(ValueError, match="node count"):
+        CubeDiagram(2, d.nodes, d.edges)
+    nodes = {**d.nodes, (1,): replace(d.nodes[(1,)], cube_dim=0)}
+    with pytest.raises(ValueError, match="wrong cube dimension"):
+        CubeDiagram(d.n, nodes, d.edges)
 
 
 def test_factor_labels_partition_the_points():

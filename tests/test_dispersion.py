@@ -16,6 +16,7 @@ from prism import (
     FinitePriestley,
     FlaggedPriestley,
     InconsistentHint,
+    KeyMismatch,
     cb_heights,
     convergent_sequence_space,
     dimension_candidate,
@@ -202,6 +203,11 @@ def test_is_dispersion_witness():
     const = DispersionCandidate({p: 0 for p in list(circ.concrete) + ["cyclic"]})
     ok, witness = is_dispersion(circ, const)
     assert not ok and witness == ("order", "C(1)", "G")
+    seq = convergent_sequence_space("limit-above")  # points 0..3 and inf
+    with pytest.raises(ValueError, match="missing '3'"):
+        is_dispersion(seq, DispersionCandidate({"0": 0, "1": 0, "2": 0, "inf": 1, "tail": 0}))
+    with pytest.raises(ValueError, match="missing family 'tail'"):
+        is_dispersion(seq, DispersionCandidate(dict.fromkeys(seq.concrete, 0)))
 
 
 def test_dimension_and_rank_candidates():
@@ -211,6 +217,12 @@ def test_dimension_and_rank_candidates():
     ok, witness = is_dispersion(t2, rank_candidate(Torus(2), t2))
     assert ok, witness
     assert is_dispersible(t2) and height_of_space(t2) == 2
+    circ = circle_snapshot()
+    foreign = FlaggedPriestley(
+        circ.concrete, circ.order, circ.families + (AccumulationFamily("zz", "G"),)
+    )
+    with pytest.raises(KeyMismatch):
+        dimension_candidate(Circle(), foreign)
 
 
 def test_universality_of_thomason_heights():
@@ -311,6 +323,12 @@ def test_weakly_visible_examples():
     assert w is not None and w.concrete == {"C(2)"}
     chain = convergent_sequence_space("descending-chain")
     assert weakly_visible(chain, "inf") is None
+    # the down-set of a meets the up-closure of a through f1 and f2
+    crossed = FlaggedPriestley({"a", "b", "c"}, {("b", "a")}, (
+        AccumulationFamily("f1", "a", member_gt={"a"}, member_lt={"c"}),
+        AccumulationFamily("f2", "c", member_gt={"c"}, member_lt={"b"}),
+    ))
+    assert weakly_visible(crossed, "a") is None
 
 
 def test_weakly_visible_pulls_in_offside_limits():

@@ -486,6 +486,8 @@ def test_torus_snapshot_lattices_are_canonical():
 def test_semidirect_snapshot_unsupported():
     with pytest.raises(UnsupportedGroup):
         flagged_snapshot(NSU3T, 3)
+    with pytest.raises(UnsupportedGroup):
+        burnside_rank(ToralSemidirect(3, ()))
 
 
 def test_snapshot_parts():
@@ -639,6 +641,7 @@ def test_parse_key_errors_and_reuse():
         (Circle(), "C(0)"),
         (sym3(), "L[2]"),
         (Torus(2), "X"),
+        (O2(), "D(3)"),  # dihedral groups have even order
     ]:
         with pytest.raises(KeyMismatch):
             parse_key(group, name)
@@ -683,12 +686,19 @@ def test_action_entries_must_be_integers():
         with pytest.raises(ValueError):
             ToralSemidirect(1, (((-1,),),), (word,))
     assert ToralSemidirect(1, (((-1,),),), ((0, 0),)).generators == (((-1,),),)
+    with pytest.raises(ValueError, match="dimension must be nonnegative"):
+        IntegerAction(-1)
+    with pytest.raises(ValueError, match="dihedral parameter must be positive"):
+        Dih(0)
 
 
 def test_group_from_spec():
     assert group_from_spec("circle") == Circle()
     assert group_from_spec("torus:3") == Torus(3)
     assert group_from_spec("nsu3t") == NSU3T
+    # the one-dimensional groups compare and print by class
+    assert Circle() == Circle() and Circle() != O2() and O2() != SO3()
+    assert hash(SO3()) == hash(SO3()) and repr(SO3()) == "SO3()"
     with pytest.raises(KeyMismatch):
         group_from_spec("su2")
     # outside the vocabulary; the CLI reads such an argument as a file path

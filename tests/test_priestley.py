@@ -543,3 +543,15 @@ def test_validation_errors():
         )
     with pytest.raises(ValueError):
         FiniteTopSpace(frozenset("ab"), [frozenset(), frozenset("a"), frozenset("b")])
+    with pytest.raises(ValueError, match="not a subset"):
+        FiniteTopSpace(frozenset("ab"), [frozenset(), frozenset("abc"), frozenset("ab")])
+    with pytest.raises(ValueError, match="not closed"):  # ab & bc is missing
+        FiniteTopSpace(frozenset("abc"), [frozenset(), frozenset("ab"), frozenset("bc"),
+                                          frozenset("abc")])
+    with pytest.raises(ValueError, match="unknown portion tag"):
+        SymbolicSet(frozenset("a"), {"f": "most"})
+    with pytest.raises(ValueError, match="unknown relation"):
+        convergent_sequence_space("sideways")
+    # the lazy order hook answers for ``order`` alone
+    with pytest.raises(AttributeError):
+        circle_model().nope
