@@ -63,42 +63,16 @@ def _resolve_space(spec, bound):
         return flagged_from_json(fh.read())
 
 
-def _height_value(v):
-    return "inf" if v == inf else v
-
-
-def _emit(text, out):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_show(args):
     space = _resolve_space(args.space, args.bound)
-    lines = ["points:"]
-    for p in sorted(space.concrete):
-        lines.append("  %s" % p)
-    lines.append("order:")
-    for a, b in sorted(space.order):
-        if a != b:
-            lines.append("  %s < %s" % (a, b))
+    lines = ["points:", *("  %s" % p for p in sorted(space.concrete)), "order:"]
+    lines += ["  %s < %s" % (a, b) for a, b in sorted(space.order) if a != b]
     lines.append("families:")
     for f in space.families:
-        lines.append(
-            "  %s: limit=%s order=%s lt={%s} gt={%s} hint=%s"
-            % (
-                f.id,
-                f.limit,
-                f.member_order,
-                ", ".join(sorted(f.member_lt)),
-                ", ".join(sorted(f.member_gt)),
-                f.member_height_hint,
-            )
-        )
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        lines.append("  %s: limit=%s order=%s lt={%s} gt={%s} hint=%s" % (
+            f.id, f.limit, f.member_order, ", ".join(sorted(f.member_lt)),
+            ", ".join(sorted(f.member_gt)), f.member_height_hint))
+    return "\n".join(lines) + "\n"
 
 
 def heights_table(space):
@@ -106,23 +80,17 @@ def heights_table(space):
     from .dispersion import thomason_heights
 
     ha = thomason_heights(space)
-    flat = {}
-    for name, v in ha.heights.items():
-        flat[name] = _height_value(v)
-    for name, v in ha.family_heights.items():
-        flat[name] = _height_value(v)
+    values = {**ha.heights, **ha.family_heights}
+    flat = {name: "inf" if v == inf else v for name, v in values.items()}
     lines = ["%s %s" % (name, flat[name]) for name in sorted(flat)]
     return flat, lines
 
 
 def _cmd_heights(args):
-    space = _resolve_space(args.space, args.bound)
-    flat, lines = heights_table(space)
+    flat, lines = heights_table(_resolve_space(args.space, args.bound))
     if args.format == "json":
-        _emit(json.dumps(flat, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return json.dumps(flat, indent=2, sort_keys=True) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_check_dispersion(args):
@@ -135,36 +103,23 @@ def _cmd_check_dispersion(args):
     if not (isinstance(values, dict) and all(type(v) is int for v in values.values())):
         raise ValueError("a candidate must be a JSON object of integers")
     ok, witness = is_dispersion(space, DispersionCandidate(values))
-    if ok:
-        _emit("true\n", args.out)
-    else:
-        _emit("false witness=%s\n" % (witness,), args.out)
-    return 0
+    return "true\n" if ok else "false witness=%s\n" % (witness,)
 
 
 def _cmd_closed_sets(args):
     from .priestley import clopen_down_sets
 
-    space = _resolve_space(args.space, args.bound)
-    classes = clopen_down_sets(space)
+    classes = clopen_down_sets(_resolve_space(args.space, args.bound))
     lines = ["%d clopen down-set classes" % len(classes)]
-    for i, cls in enumerate(
-        sorted(classes, key=lambda c: (sorted(c.required), c.family_tags))
-    ):
+    for i, cls in enumerate(sorted(classes, key=lambda c: (sorted(c.required), c.family_tags))):
         lines.append("class %d: %s" % (i, cls.describe()))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_noetherian(args):
     from .liegroups import group_from_spec, spectrum_is_noetherian
 
-    group = group_from_spec(args.group)
-    _emit(
-        ("true" if spectrum_is_noetherian(group) else "false") + "\n",
-        args.out,
-    )
-    return 0
+    return "true\n" if spectrum_is_noetherian(group_from_spec(args.group)) else "false\n"
 
 
 def _cmd_cube(args):
@@ -174,29 +129,22 @@ def _cmd_cube(args):
     group = group_from_spec(args.group)
     diagram = build_decomposition(group, args.bound)
     if args.format == "dot":
-        _emit(cube_to_dot(diagram), args.out)
-    elif args.format == "json":
-        _emit(cube_to_json(diagram) + "\n", args.out)
-    else:
-        _emit(cube_to_text(diagram), args.out)
-    return 0
+        return cube_to_dot(diagram)
+    if args.format == "json":
+        return cube_to_json(diagram) + "\n"
+    return cube_to_text(diagram)
 
 
 def _cmd_isomax(args):
     from .cube import isomax_table
 
-    _emit(isomax_table(args.n), args.out)
-    return 0
+    return isomax_table(args.n)
 
 
 def _cmd_oracle(args):
     from .oracles import run_suite
 
-    lines = []
-    for name, cases in run_suite(args.suite):
-        lines.append("ok %s (%d cases)" % (name, cases))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "".join("ok %s (%d cases)\n" % (name, cases) for name, cases in run_suite(args.suite))
 
 
 def build_parser():
@@ -237,10 +185,16 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
+        text = args.run(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (PrismError, OSError, ValueError) as err:
         sys.stderr.write("%s: %s\n" % (type(err).__name__, err))
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -31,11 +31,10 @@ and every accumulation family in a stratum contributes one marker label
 "... (family <id>)" standing for its infinitely many members.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 import json
 
-from .errors import NotDispersible
+from .errors import NotDispersible, Value
 
 # priestley, dispersion and liegroups are imported inside the functions that
 # use them, so the cube combinatorics (isomax) load none of them; never inside
@@ -79,18 +78,15 @@ def isomax_members(phi, n):
     return out
 
 
-@dataclass(frozen=True)
-class Projection:
+class Projection(Value):
     j: int
 
 
-@dataclass(frozen=True)
-class Diagonal:
+class Diagonal(Value):
     pass
 
 
-@dataclass(frozen=True)
-class Laxness:
+class Laxness(Value):
     zeta: int
 
 
@@ -135,8 +131,7 @@ def punctured_cube(n):
 # recollement schedules
 
 
-@dataclass(frozen=True)
-class SpliceStep:
+class SpliceStep(Value):
     stratum: int
     residual: tuple
     label: str
@@ -161,15 +156,13 @@ def recollement_schedule(n):
 # full decomposition diagrams
 
 
-@dataclass(frozen=True)
-class CubeNode:
+class CubeNode(Value):
     cube_dim: int
     stratum: int
     factor_labels: tuple
 
 
-@dataclass(frozen=True)
-class CubeDiagram:
+class CubeDiagram(Value):
     n: int
     nodes: dict
     edges: dict

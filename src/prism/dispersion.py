@@ -27,10 +27,9 @@ structural blockers are gone but whose hint is still positive survives
 with the hint decremented (its phantom substructure is being consumed).
 """
 
-from dataclasses import dataclass, replace
 from math import inf
 
-from .errors import ChecksFailed, InconsistentHint
+from .errors import ChecksFailed, InconsistentHint, Value, replace
 from .priestley import (
     ALL,
     ANTICHAIN,
@@ -49,8 +48,7 @@ from .priestley import (
 )
 
 
-@dataclass(frozen=True)
-class HeightAssignment:
+class HeightAssignment(Value):
     """Heights of the concrete points and the common member heights."""
 
     heights: dict
@@ -69,8 +67,7 @@ class HeightAssignment:
         return max(values) if values else 0
 
 
-@dataclass(frozen=True)
-class DispersionCandidate:
+class DispersionCandidate(Value):
     """A candidate dispersion: natural values on points and family ids."""
 
     values: dict
@@ -192,9 +189,9 @@ def is_dispersion(space, candidate):
     dispersion dominates the heights.
     """
     values = candidate.values
-    for p in space.concrete:
-        if p not in values:
-            raise ValueError("candidate is not total: missing %r" % (p,))
+    missing = space.concrete.difference(values)
+    if missing:
+        raise ValueError("candidate is not total: missing %r" % (min(missing, key=repr),))
     for f in space.families:
         if f.id not in values:
             raise ValueError("candidate is not total: missing family %r" % (f.id,))
@@ -227,8 +224,7 @@ def is_dispersion(space, candidate):
 # strata
 
 
-@dataclass(frozen=True)
-class StrataReport:
+class StrataReport(Value):
     at_level: SymbolicSet
     below: SymbolicSet
     at_or_above: SymbolicSet

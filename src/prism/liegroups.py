@@ -38,13 +38,12 @@ belong to it, after fusion) and ``_snapshot``, and overrides whichever
 defaults do not hold for it.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, inf
 import re
 
-from .errors import DimTooLarge, KeyMismatch, NotInvariant, UnsupportedGroup
+from .errors import DimTooLarge, KeyMismatch, NotInvariant, UnsupportedGroup, Value
 from . import intlinalg as la
 from .priestley import (
     AccumulationFamily,
@@ -60,34 +59,33 @@ from .priestley import (
 # subgroup keys
 
 
-@dataclass(frozen=True)
-class Cyc:
+class Cyc(Value):
     n: int
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n):
+        if n < 1:
             raise ValueError("cyclic order must be positive")
+        object.__setattr__(self, "n", n)
 
     @property
     def name(self):
         return "C(%d)" % self.n
 
 
-@dataclass(frozen=True)
-class Dih:
+class Dih(Value):
     n: int  # order 2n
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n):
+        if n < 1:
             raise ValueError("dihedral parameter must be positive")
+        object.__setattr__(self, "n", n)
 
     @property
     def name(self):
         return "D(%d)" % (2 * self.n)
 
 
-@dataclass(frozen=True)
-class _UnitKey:
+class _UnitKey(Value):
     """A key without parameters; each subclass names one subgroup class."""
 
     name = ""
@@ -105,18 +103,18 @@ class KleinKey(_UnitKey): name = "V4"
 _UNIT_KEYS = {cls.name: cls() for cls in _UnitKey.__subclasses__()}
 
 
-@dataclass(frozen=True)
-class DualLattice:
+class DualLattice(Value):
     """Annihilator lattice of a closed subgroup of a torus, in HNF."""
 
     rank: int  # ambient rank
-    rows: tuple = ()
+    rows: tuple
 
-    def __post_init__(self):
-        rows = la.hermite_normal_form(self.rows)
+    def __init__(self, rank, rows=()):
+        rows = la.hermite_normal_form(rows)
         for r in rows:
-            if len(r) != self.rank:
+            if len(r) != rank:
                 raise ValueError("lattice row of wrong width")
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "rows", rows)
 
     def corank(self):
@@ -130,8 +128,7 @@ class DualLattice:
         return "L[%s]" % "; ".join(" ".join(str(x) for x in row) for row in self.rows)
 
 
-@dataclass(frozen=True)
-class FiniteIdx:
+class FiniteIdx(Value):
     index: int
 
 
@@ -147,8 +144,7 @@ def _int_matrix(rows):
     return m
 
 
-@dataclass(frozen=True)
-class IntegerAction:
+class IntegerAction(Value):
     """A finite group acting on a lattice through integer generator matrices."""
 
     dim: int
@@ -213,8 +209,7 @@ _TRIVIAL_LINE = IntegerAction(1, ())
 # Weyl data
 
 
-@dataclass(frozen=True)
-class WeylData:
+class WeylData(Value):
     """Identity component and component group of a Weyl group N_G(H)/H."""
 
     identity_component: str  # "1", "SO(2)", "T^2", "T^3", "SO(3)"
@@ -262,7 +257,7 @@ def _check_invariant(action, subspace):
 # groups
 
 
-class _Group:
+class _Group(Value):
     """Defaults for a catalog group.  Every key a hook receives has been
     through the group's ``_canonical``, which each group defines, as it
     defines ``_snapshot(bound)``: the snapshot's keys by name, its order
@@ -302,8 +297,7 @@ class _Group:
         return 1
 
 
-@dataclass(frozen=True)
-class FiniteClass:
+class FiniteClass(Value):
     """One conjugacy class of subgroups of a finite group."""
 
     id: str
@@ -318,7 +312,6 @@ class FiniteClass:
         return self.weyl_name or ("1" if self.weyl_order == 1 else "W%d" % self.weyl_order)
 
 
-@dataclass(frozen=True)
 class FiniteGroup(_Group):
     classes: tuple
 
@@ -353,7 +346,6 @@ class FiniteGroup(_Group):
         return {n: FiniteIdx(i) for i, n in enumerate(names)}, [], [], parts
 
 
-@dataclass(frozen=True)
 class _OneDim(_Group):
     """The circle, O(2) and SO(3), read off two class tables.
 
@@ -364,7 +356,6 @@ class _OneDim(_Group):
     parameter and the dihedral family's limit (None: no dihedral family),
     and the keys that form singleton parts.  The snapshot names the unit
     keys of ``_KEYS`` in its order, after the cyclic and dihedral keys.
-    The subclasses share this decoration: two groups are equal when of one class.
     """
 
     def _canonical(self, key):
@@ -417,6 +408,9 @@ class _OneDim(_Group):
 
 
 _C2_WEYL = WeylData("1", 2, "C2")
+# a torus key's Weyl data, by the number of rows of its lattice
+_TORUS_WEYL = (_TRIVIAL_WEYL, WeylData("SO(2)", 1, "1"),
+               WeylData("T^2", 1, "1"), WeylData("T^3", 1, "1"))
 
 
 class Circle(_OneDim):
@@ -464,7 +458,6 @@ class SO3(_OneDim):
         return super()._weyl(key)
 
 
-@dataclass(frozen=True)
 class Torus(_Group):
     rank: int
 
@@ -497,10 +490,7 @@ class Torus(_Group):
         return key.corank()
 
     def _weyl(self, key):
-        k = len(key.rows)
-        if k == 0:
-            return _TRIVIAL_WEYL
-        return WeylData("SO(2)" if k == 1 else "T^%d" % k, 1, "1")
+        return _TORUS_WEYL[len(key.rows)]
 
     def _dimension(self, key):
         return key.corank()
@@ -555,7 +545,6 @@ class Torus(_Group):
         return keys, order_pairs, fams, parts
 
 
-@dataclass(frozen=True)
 class ToralSemidirect(_Group):
     """A rank-r torus extended by a finite group of integer matrices."""
 
@@ -569,7 +558,7 @@ class ToralSemidirect(_Group):
         # integer, square, invertible and of finite order
         gens = IntegerAction(self.rank, self.generators).generators
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "relations", tuple(tuple(w) for w in self.relations))
+        object.__setattr__(self, "relations", tuple(map(tuple, self.relations)))
         for word in self.relations:
             if not all(type(i) is int and 0 <= i < len(gens) for i in word):
                 raise ValueError("relation %r is not a word in the generator indices" % (word,))

@@ -40,12 +40,11 @@ the tag and swaps the bounds, so chain families are fully faithful only in
 their declared orientation.
 """
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
 import json
 
-from .errors import NotT0
+from .errors import NotT0, Value, replace
 
 
 ANTICHAIN = "antichain"
@@ -92,7 +91,8 @@ def _transitive_closure(points, pairs):
     succ = {p: set() for p in points}
     for (a, b) in pairs:
         if a not in succ or b not in succ:
-            raise ValueError("order mentions unknown point in %r" % ((a, b),))
+            unknown = (ab for ab in pairs if not succ.keys() >= set(ab))
+            raise ValueError("order mentions unknown point in %r" % (min(unknown, key=repr),))
         if a != b:
             succ[a].add(b)
     topo, indegree = _kahn(succ)
@@ -132,8 +132,7 @@ def _cycle_pair(succ, indegree):
 # finite topological spaces
 
 
-@dataclass(frozen=True)
-class FiniteTopSpace:
+class FiniteTopSpace(Value):
     """A finite topology given by its full family of open sets."""
 
     points: frozenset
@@ -219,8 +218,7 @@ def down_sets(p):
 # flagged spaces
 
 
-@dataclass(frozen=True)
-class AccumulationFamily:
+class AccumulationFamily(Value):
     """An infinite homogeneous sequence of members converging to ``limit``.
 
     ``member_height_hint`` asserts the common height of the members; it
@@ -230,46 +228,57 @@ class AccumulationFamily:
 
     id: str
     limit: str
-    member_order: str = ANTICHAIN
-    member_lt: frozenset = frozenset()
-    member_gt: frozenset = frozenset()
-    samples: tuple = ()
-    member_height_hint: int | None = None
+    member_order: str
+    member_lt: frozenset
+    member_gt: frozenset
+    samples: tuple
+    member_height_hint: int | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "member_lt", frozenset(self.member_lt))
-        object.__setattr__(self, "member_gt", frozenset(self.member_gt))
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if self.member_order not in (ANTICHAIN, DESCENDING):
-            raise ValueError("unknown member order %r" % (self.member_order,))
-        if self.member_lt & self.member_gt:
+    def __init__(self, id, limit, member_order=ANTICHAIN, member_lt=frozenset(),
+                 member_gt=frozenset(), samples=(), member_height_hint=None):
+        member_lt, member_gt, hint = frozenset(member_lt), frozenset(member_gt), member_height_hint
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "limit", limit)
+        object.__setattr__(self, "member_order", member_order)
+        object.__setattr__(self, "member_lt", member_lt)
+        object.__setattr__(self, "member_gt", member_gt)
+        object.__setattr__(self, "samples", tuple(samples))
+        object.__setattr__(self, "member_height_hint", hint)
+        if member_order not in (ANTICHAIN, DESCENDING):
+            raise ValueError("unknown member order %r" % (member_order,))
+        if member_lt & member_gt:
             raise ValueError("member_lt and member_gt must be disjoint")
-        hint = self.member_height_hint
         if hint is not None and (type(hint) is not int or hint < 0):
             raise ValueError("height hint must be a natural number, got %r" % (hint,))
 
 
-@dataclass(frozen=True)
-class FlaggedPriestley:
+class FlaggedPriestley(Value):
     """Finitely presented countable Priestley space: points plus families.
 
     ``order`` may be given as any relation; on construction it is checked
     for antisymmetry and reduced to its covers, the stored order.  The
     closed pair set ``order`` is no stored field value: the constructor
-    drops it from the instance and ``__getattr__`` closes it again from the
-    principal up-sets on first read.  Principal down- and up-sets come from
-    one index of both directions, cover lists per lower point from
+    drops it from the instance, and a cached property closes it again from
+    the principal up-sets on first read.  Principal down- and up-sets come
+    from one index of both directions, cover lists per lower point from
     another, and the forced closures read a trigger index; all three are
-    cached properties built on first use, not dataclass fields, so
-    equality, hashing and ``dataclasses.replace`` see only the fields.  The
+    cached properties built on first use, not fields, so equality, hashing,
+    ``repr`` and ``replace`` see only the fields.  Equality and hashing
+    compare the covers in place of ``order``; ``repr`` shows ``order``.  The
     down- and up-set tests scan the covers once, not the principal
     closures of the set's points.
     """
 
     concrete: frozenset
-    order: frozenset = field(compare=False)
-    families: tuple = ()
-    covers: frozenset = field(init=False, repr=False)
+    order: frozenset
+    families: tuple
+    _compare = ("concrete", "families", "covers")
+
+    def __init__(self, concrete, order, families=()):
+        object.__setattr__(self, "concrete", concrete)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "families", families)
+        self.__post_init__()
 
     def __post_init__(self):
         pts = frozenset(self.concrete)
@@ -296,12 +305,9 @@ class FlaggedPriestley:
         object.__setattr__(self, "families", fams)
         object.__delattr__(self, "order")
 
-    def __getattr__(self, name):
-        if name != "order":
-            raise AttributeError(name)
-        order = frozenset((p, q) for p, s in self._down_up[1].items() for q in s)
-        object.__setattr__(self, "order", order)
-        return order
+    @cached_property
+    def order(self):  # the field the constructor drops, closed again
+        return frozenset((p, q) for p, s in self._down_up[1].items() for q in s)
 
     def le(self, p, q):
         return q in self.up_closure(p)
@@ -402,23 +408,19 @@ class FinitePriestley(FlaggedPriestley):
 # symbolic subsets of a flagged space
 
 
-@dataclass(frozen=True)
-class SymbolicSet:
+class SymbolicSet(Value):
     """A subset of a flagged space: explicit points plus a portion per family."""
 
     concrete: frozenset
-    portions: tuple = ()  # sorted (family id, tag) pairs; omitted means empty
+    portions: tuple  # sorted (family id, tag) pairs; omitted means empty
 
-    def __post_init__(self):
-        object.__setattr__(self, "concrete", frozenset(self.concrete))
-        if isinstance(self.portions, dict):
-            items = self.portions.items()
-        else:
-            items = self.portions
+    def __init__(self, concrete, portions=()):
+        items = portions.items() if isinstance(portions, dict) else portions
         cleaned = tuple(sorted((fid, tag) for fid, tag in items if tag != EMPTY))
         for _, tag in cleaned:
             if tag not in (FINITE, COFINITE, ALL):
                 raise ValueError("unknown portion tag %r" % (tag,))
+        object.__setattr__(self, "concrete", frozenset(concrete))
         object.__setattr__(self, "portions", cleaned)
         object.__setattr__(self, "_tags", dict(cleaned))
 
@@ -589,8 +591,7 @@ def is_noetherian(space):
 # clopen down-set classes
 
 
-@dataclass(frozen=True)
-class ClopenDownClass:
+class ClopenDownClass(Value):
     """A shape class of clopen down-sets of a flagged space.
 
     A realization picks ``required`` plus any subset of ``optional`` that
@@ -604,6 +605,11 @@ class ClopenDownClass:
     family_tags: tuple
     required: frozenset
     optional: frozenset
+
+    def __init__(self, family_tags, required, optional):
+        object.__setattr__(self, "family_tags", family_tags)
+        object.__setattr__(self, "required", required)
+        object.__setattr__(self, "optional", optional)
 
     def tag(self, fid):
         for f, t in self.family_tags:

@@ -1,6 +1,9 @@
 """The command line is a thin, deterministic adapter over the library."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -151,6 +154,28 @@ def test_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+
+
+def test_errors_do_not_depend_on_the_hash_seed(tmp_path):
+    # the point an error names is the least offender by repr, not the first
+    # one met in a set, whose order the hash seed decides
+    space, candidate, order = (tmp_path / name for name in ("space.json", "c.json", "o.json"))
+    space.write_text(flagged_to_json(guiding_examples()[1]))
+    candidate.write_text(json.dumps({"inf": 1, "tail": 0}))
+    order.write_text(json.dumps({"points": ["a"], "order": [["a", "x"], ["a", "y"], ["z", "a"]]}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv, expected in (
+        (["check-dispersion", str(space), str(candidate)],
+         "ValueError: candidate is not total: missing '0'\n"),
+        (["heights", str(order)], "ValueError: order mentions unknown point in ('a', 'x')\n"),
+    ):
+        for seed in "0123":
+            result = subprocess.run(
+                [sys.executable, "-m", "prism.cli", *argv], capture_output=True, text=True,
+                timeout=60, env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            )
+            assert (result.returncode, result.stdout, result.stderr) == (1, "", expected), seed
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 """Punctured-cube combinatorics and decomposition diagrams."""
 
 import json
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from prism import (
     recollement_schedule,
     thomason_heights,
 )
+from prism.errors import replace
 from prism.oracles import check_isomax
 
 GOLDEN = Path(__file__).parent / "golden"

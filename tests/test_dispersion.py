@@ -1,7 +1,6 @@
 """Derivatives, heights, dispersion checks, strata, and visibility."""
 
 import random
-from dataclasses import replace
 from math import inf
 
 import pytest
@@ -40,6 +39,7 @@ from prism import (
     weakly_visible,
 )
 from prism import Circle, O2, SO3, Torus, flagged_snapshot
+from prism.errors import replace
 from prism.oracles import catalog_spaces, check_derivative_vs_heights, snapshot_spaces
 from prism.priestley import realize_in_truncation
 

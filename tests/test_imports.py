@@ -101,7 +101,7 @@ def test_import_prism_loads_no_submodule():
 
 def loaded_by_command(argv):
     """The prism modules a fresh interpreter holds after ``prism.cli.main``,
-    and ``fractions`` if it holds that too."""
+    and which of ``fractions``, ``dataclasses`` and ``inspect`` it holds too."""
     code, loaded = run_fresh(
         "import io, json, sys\n"
         "import prism.cli\n"
@@ -109,7 +109,7 @@ def loaded_by_command(argv):
         "code = prism.cli.main(%r)\n"
         "sys.stdout = sys.__stdout__\n"
         "print(json.dumps([code, sorted(m.removeprefix('prism.') for m in sys.modules\n"
-        "    if m.startswith('prism.') or m == 'fractions')]))"
+        "    if m.startswith('prism.') or m in ('fractions', 'dataclasses', 'inspect'))]))"
         % (argv,)
     )
     assert code == 0, argv
@@ -132,6 +132,18 @@ def test_each_command_loads_only_its_layers(tmp_path):
     # reach, create Fractions
     for argv in (["heights", "circle"], ["cube", "torus:2"], ["noetherian", "so3"]):
         assert "fractions" not in loaded_by_command(argv), argv
+    # the value classes need neither dataclasses nor the inspect module it
+    # imports; the commands are those of the benchmark's cli-cold workload
+    heights = prism.thomason_heights(prism.guiding_examples()[0])
+    candidate = tmp_path / "candidate.json"
+    candidate.write_text(json.dumps({**heights.heights, **heights.family_heights}))
+    for argv in (["heights", "circle", "--bound", "3"],
+                 ["heights", "circle", "--bound", "3", "--format", "json"],
+                 ["heights", "o2"], ["noetherian", "so3"], ["isomax", "4"], ["show", "so3"],
+                 ["closed-sets", "o2"], ["cube", "torus:2", "--bound", "3", "--format", "dot"],
+                 ["check-dispersion", str(path), str(candidate)],
+                 ["heights", str(path), "--format", "json"]):
+        assert loaded_by_command(argv).isdisjoint({"dataclasses", "inspect"}), argv
 
 
 def in_group_vocabulary(spec):
