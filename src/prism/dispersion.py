@@ -186,7 +186,8 @@ def is_dispersion(space, candidate):
     axiom one among its own members, witnessed ``("family-order", id, id)``.
     Last, a family valued below its ``member_height_hint`` fails, witnessed
     ``("family-hint", id)``: the hint is the height of the members, and a
-    dispersion dominates the heights.
+    dispersion dominates the heights.  A candidate that misses a point or
+    a family, or names something else, raises ValueError.
     """
     values = candidate.values
     missing = space.concrete.difference(values)
@@ -195,6 +196,9 @@ def is_dispersion(space, candidate):
     for f in space.families:
         if f.id not in values:
             raise ValueError("candidate is not total: missing family %r" % (f.id,))
+    if len(values) > len(space.concrete) + len(space.families):  # ids and names are distinct
+        unknown = values.keys() - space.concrete - set(space.family_ids())
+        raise ValueError("candidate names no point or family: %r" % (min(unknown, key=repr),))
     for name, v in values.items():
         if type(v) is not int or v < 0:
             raise ValueError("candidate value for %r is not a natural" % (name,))

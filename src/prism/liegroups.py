@@ -30,12 +30,12 @@ of the generators, and whatever is left is a single simple piece.
 Each group's part of the model lives on its class.  The private base
 ``_Group`` gives the defaults: no strict cotoral pairs, height 0, trivial
 Weyl data, dimension 0, rank equal to dimension, a finite Phi and one
-Burnside class.  The circle, O(2) and SO(3) read their answers off two
-class tables (see ``_OneDim``).  The public functions below validate the
-key with ``canonical_key`` and make one method call.  Adding a group
-takes one subclass of ``_Group`` that defines ``_canonical`` (which keys
-belong to it, after fusion) and ``_snapshot``, and overrides whichever
-defaults do not hold for it.
+Burnside class.  The circle, O(2) and SO(3) read their answers off
+three class tables (see ``_OneDim``).  The public functions below
+validate the key with ``canonical_key`` and make one method call.  Adding
+a group takes one subclass of ``_Group`` that defines ``_canonical``
+(which keys belong to it, after fusion) and ``_snapshot``, and overrides
+whichever defaults do not hold for it, ``_family_id`` among them.
 """
 
 from functools import lru_cache
@@ -274,6 +274,10 @@ class _Group(Value):
     def _lie_rank(self):
         return 0
 
+    def _family_id(self, limit):
+        """The id the snapshot gives a family with this limit, or None."""
+        return None
+
     def _cotoral_lt(self, sub, sup):
         """The cotoral order on two distinct keys."""
         return False
@@ -347,16 +351,21 @@ class FiniteGroup(_Group):
 
 
 class _OneDim(_Group):
-    """The circle, O(2) and SO(3), read off two class tables.
+    """The circle, O(2) and SO(3), read off three class tables.
 
     ``_KEYS`` maps each key class of the group to the key's dimension,
     rank, central action (of the component group on H_1 of the central
     torus; None when there is no central torus) and Weyl data.
-    ``_SNAPSHOT`` holds the cyclic family's limit, the first dihedral
-    parameter and the dihedral family's limit (None: no dihedral family),
-    and the keys that form singleton parts.  The snapshot names the unit
-    keys of ``_KEYS`` in its order, after the cyclic and dihedral keys.
+    ``_FAMILIES`` holds one row per family of finite subgroups: its id, the
+    key class of its members, their first parameter, the family's limit,
+    and whether the members are cotoral in the limit (the only strict
+    cotoral pairs).  ``_SINGLES`` names the keys that form singleton parts.
+    The snapshot names each family's members up to the bound, then the
+    unit keys of ``_KEYS`` in its order; a family's samples are its next
+    three members.
     """
+
+    _SINGLES = ()
 
     def _canonical(self, key):
         return key if type(key) in self._KEYS else None
@@ -364,9 +373,13 @@ class _OneDim(_Group):
     def _lie_rank(self):
         return 1
 
+    def _family_id(self, limit):
+        return next((fid for fid, _, _, lim, _ in self._FAMILIES if lim == limit), None)
+
     def _cotoral_lt(self, sub, sup):
         # a finite cyclic group is cotoral in the circle it lies on
-        return isinstance(sub, Cyc) and sup.name == self._SNAPSHOT[0]
+        return any(cotoral and type(sub) is cls and sup.name == limit
+                   for _, cls, _, limit, cotoral in self._FAMILIES)
 
     def _height(self, key):
         action = self._KEYS[type(key)][2]
@@ -382,28 +395,23 @@ class _OneDim(_Group):
         return self._KEYS[type(key)][1]
 
     def _phi_is_finite(self):
-        # every dihedral class has a finite Weyl group
-        return self._SNAPSHOT[2] is None
+        # finitely many classes unless a family's members have finite Weyl groups
+        return not any(self._KEYS[row[1]][3].is_finite() for row in self._FAMILIES)
 
     def _snapshot(self, bound):
-        cyc_limit, dih_start, dih_limit, singles = self._SNAPSHOT
-        cyclic = [Cyc(n) for n in range(1, bound + 1)]
-        dihedral = [Dih(n) for n in range(dih_start, bound + 1)] if dih_limit else []
-        units = [cls() for cls in self._KEYS if issubclass(cls, _UnitKey)]
-        keys = {k.name: k for k in cyclic + dihedral + units}
-        samples = tuple(Cyc(n).name for n in range(bound + 1, bound + 4))
-        fams = [AccumulationFamily("cyclic", cyc_limit, member_lt=frozenset({cyc_limit}),
-                                   samples=samples)]
-        parts = [("cyclic", tuple(k.name for k in cyclic) + (cyc_limit,), ("cyclic",))]
-        if dih_limit:
-            dstart = max(dih_start, bound + 1)
-            samples = tuple(Dih(n).name for n in range(dstart, dstart + 3))
-            fams.append(AccumulationFamily("dihedral", dih_limit, samples=samples))
-            dih_names = tuple(k.name for k in dihedral) + (dih_limit,)
-            parts.append(("dihedral", dih_names, ("dihedral",)))
-        parts += [(single, (single,), ()) for single in singles]
-        # the only strict cotoral pairs: each cyclic key below the cyclic limit
-        order_pairs = [(k.name, cyc_limit) for k in cyclic]
+        keys, order_pairs, fams, parts = {}, [], [], []
+        for fid, cls, first, limit, cotoral in self._FAMILIES:
+            members = [cls(n) for n in range(first, bound + 1)]
+            names = [k.name for k in members]
+            keys.update(zip(names, members))
+            start = max(first, bound + 1)
+            samples = tuple(cls(n).name for n in range(start, start + 3))
+            above = {limit} if cotoral else ()
+            fams.append(AccumulationFamily(fid, limit, member_lt=above, samples=samples))
+            parts.append((fid, (*names, limit), (fid,)))
+            order_pairs += [(name, limit) for name in names if cotoral]
+        keys.update((cls.name, cls()) for cls in self._KEYS if issubclass(cls, _UnitKey))
+        parts += [(single, (single,), ()) for single in self._SINGLES]
         return keys, order_pairs, fams, parts
 
 
@@ -418,7 +426,7 @@ class Circle(_OneDim):
         Cyc: (0, 0, None, WeylData("SO(2)", 1, "1")),
         FullKey: (1, 1, _TRIVIAL_LINE, _TRIVIAL_WEYL),
     }
-    _SNAPSHOT = ("G", None, None, ())
+    _FAMILIES = (("cyclic", Cyc, 1, "G", True),)
 
 
 class O2(_OneDim):
@@ -428,7 +436,7 @@ class O2(_OneDim):
         SO2Key: (1, 1, _TRIVIAL_LINE, _C2_WEYL),
         FullKey: (1, 1, _NEGATION, _TRIVIAL_WEYL),
     }
-    _SNAPSHOT = ("SO2", 1, "G", ())
+    _FAMILIES = (("cyclic", Cyc, 1, "SO2", True), ("dihedral", Dih, 1, "G", False))
 
 
 class SO3(_OneDim):
@@ -444,7 +452,8 @@ class SO3(_OneDim):
         FullKey: (3, 1, None, _TRIVIAL_WEYL),
     }
     # Dih(1) and Dih(2) fuse with C(2) and V4, so the dihedral keys start at 3
-    _SNAPSHOT = ("SO2", 3, "O2", ("G", "A4", "S4", "A5", "V4"))
+    _FAMILIES = (("cyclic", Cyc, 1, "SO2", True), ("dihedral", Dih, 3, "O2", False))
+    _SINGLES = ("G", "A4", "S4", "A5", "V4")
 
     def _canonical(self, key):
         if isinstance(key, Dih) and key.n <= 2:
@@ -473,6 +482,9 @@ class Torus(_Group):
 
     def _lie_rank(self):
         return self.rank
+
+    def _family_id(self, limit):
+        return "conv:" + limit
 
     def _cotoral_lt(self, sub, sup):
         """K <= H via annihilators: L_H inside L_K with torsion-free
@@ -536,7 +548,8 @@ class Torus(_Group):
             order_pairs += [(name, above) for above in up[name]]
         corank = {name: k.corank() for name, k in keys.items()}
         fams = [
-            AccumulationFamily("conv:%s" % name, name, member_lt=frozenset([name, *up[name]]),
+            AccumulationFamily(self._family_id(name), name,
+                               member_lt=frozenset([name, *up[name]]),
                                member_height_hint=corank[name] - 1 if corank[name] > 1 else None)
             for name in sorted(keys)
             if corank[name]
@@ -834,16 +847,13 @@ def snapshot_parts(group, bound):
 
 
 def _candidate(group, space, value_of_key):
-    values = {}
-    for name in space.concrete:
-        values[name] = value_of_key(parse_key(group, name))
+    """A key function's values on a snapshot; a family takes its limit's
+    value minus one, as the limit is one dimension and rank above it."""
+    values = {name: value_of_key(parse_key(group, name)) for name in space.concrete}
     for f in space.families:
-        if f.id in ("cyclic", "dihedral"):
-            values[f.id] = 0
-        elif f.id.startswith("conv:"):
-            values[f.id] = value_of_key(parse_key(group, f.id[len("conv:"):])) - 1
-        else:
+        if f.id != group._family_id(f.limit):
             raise KeyMismatch("unknown family %r" % (f.id,))
+        values[f.id] = values[f.limit] - 1
     from .dispersion import DispersionCandidate
 
     return DispersionCandidate(values)

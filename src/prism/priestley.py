@@ -503,7 +503,10 @@ def _forced_closure(space, p, rule="down", avoid=frozenset()):
     points a closure adds, only those that fire some family are pushed; a
     far bound already inside is skipped with its closure, as the set is a
     union of principal closures; each family fires at most once per tag.
+    A point outside the space raises ValueError.
     """
+    if p not in space.concrete:
+        raise ValueError("unknown point %r" % (p,))
     rules, watch = space._triggers[rule]
     down = rule != "up"
     closure = space.down_closure if down else space.up_closure
@@ -725,45 +728,26 @@ def _subspace(cls, space, points, families):
     """The subspace of ``space`` on the frozenset ``points``, of class
     ``cls``, equal to what the public constructor builds from its fields.
 
-    On an order-convex subset (every point between two of its points is
-    in it) the covers are the parent's covers between its points, and the
-    pair objects are shared.  Walking the covers up from ``points`` decides
-    convexity: the subset is convex unless a point reached outside it has
-    a cover back into it.  Every subset the library cuts is convex (an
-    up-set, or a union of order components); another one has its induced
-    order reduced afresh.  Families cut from validated ones (bounds and
-    limits inside ``points``, in the parent's sorted order) keep sorted,
-    unique ids, limits inside the space and no cycle, so they are not
-    checked again.
+    On an up-set (no cover leaves ``points``) the covers are the parent's
+    covers between its points, and the pair objects are shared: a point
+    between two of its points lies above one of them, so inside.  Every
+    subset the library cuts is an up-set (a derivative drops minimal
+    points, a generalization closure is an up-closure, a catalog part a
+    union of order components); any other subset has its induced order
+    reduced afresh.  Families cut from validated ones (bounds and limits
+    inside ``points``, in the parent's sorted order) keep sorted, unique
+    ids, limits inside the space and no cycle, so they are not checked
+    again.
     """
     above = space._covers_above
     covers = []
-    outside = set()
     for a in points:
         for ab in above.get(a, ()):
-            if ab[1] in points:
-                covers.append(ab)
-            else:
-                outside.add(ab[1])
-    if _reenters(above, points, outside):
-        up = space.up_closure
-        induced = [(a, b) for a in points for b in up(a) & points]
-        covers = _transitive_closure(points, induced)[0]
+            if ab[1] not in points:  # not an up-set
+                induced = [(p, q) for p in points for q in space.up_closure(p) & points]
+                return _assemble(cls, points, _transitive_closure(points, induced)[0], families)
+            covers.append(ab)
     return _assemble(cls, points, frozenset(covers), families)
-
-
-def _reenters(above, points, outside):
-    """Whether a walk up the covers from the set ``outside`` of points
-    outside ``points`` comes back into ``points``."""
-    stack = list(outside)
-    while stack:
-        for (_, b) in above.get(stack.pop(), ()):
-            if b in points:
-                return True
-            if b not in outside:
-                outside.add(b)
-                stack.append(b)
-    return False
 
 
 def restrict(space, points, family_ids):
@@ -772,8 +756,8 @@ def restrict(space, points, family_ids):
     Family bounds are intersected with the surviving points; the caller is
     responsible for the subset being meaningful (e.g. a clopen piece).  The
     subspace carries the covers of its induced order, cut from the covers
-    of ``space`` when the subset is order-convex, and is not validated
-    again.  Points outside ``space`` raise ValueError.
+    of ``space`` when the subset is an up-set, and is not validated again.
+    Points outside ``space`` raise ValueError.
     """
     pts = frozenset(points)
     unknown = pts - space.concrete

@@ -146,6 +146,10 @@ def test_exit_codes(tmp_path, capsys):
     code, out, err = run(capsys, "check-dispersion", str(path), str(candidate))
     assert code == 0 and err == ""
     assert out == "false witness=('family-order', 'inf', 'tail')\n"
+    candidate.write_text(json.dumps({"inf": 1, "tail": 0, "bogus": 5}))
+    code, out, err = run(capsys, "check-dispersion", str(path), str(candidate))
+    assert (code, out) == (1, "")
+    assert err == "ValueError: candidate names no point or family: 'bogus'\n"
     code, _, err = run(capsys, "noetherian", "su2")
     assert code == 1 and err.startswith("KeyMismatch")
     for argv in (["heights", "torus:4"], ["heights", "circle", "--bound", "0"]):
@@ -185,12 +189,17 @@ def test_errors_do_not_depend_on_the_hash_seed(tmp_path):
     + [pytest.param([c, "--help"], "help_%s.txt" % c, id=c) for c in SUBCOMMANDS],
 )
 def test_parser_surface_golden(monkeypatch, capsys, argv, name):
-    # the help pages and the usage error, as argparse lays them out in 80 columns
+    # the help pages and the usage error, as argparse lays them out in 80
+    # columns; from Python 3.13 on it keeps the "..." after the command
+    # choices on their line, so the two pages that show it have a 3.13 copy
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()
-    expected = (GOLDEN / name).read_text(encoding="utf-8")
+    path = GOLDEN / "py313" / name
+    if sys.version_info < (3, 13) or not path.exists():
+        path = GOLDEN / name
+    expected = path.read_text(encoding="utf-8")
     if argv:
         assert exc.value.code == 0 and captured == (expected, "")
     else:

@@ -16,6 +16,7 @@ from prism import (
     AccumulationFamily,
     FinitePriestley,
     FlaggedPriestley,
+    O2,
     SymbolicSet,
     Torus,
     cb_heights,
@@ -193,3 +194,10 @@ def test_a_finite_poset_answers_as_its_flagged_space():
             assert weakly_visible(poset, p) == weakly_visible(space, p)
             closure = gen_closure(poset, p)
             assert type(closure) is FlaggedPriestley and closure == gen_closure(space, p)
+
+
+def test_point_queries_reject_unknown_points():
+    space = flagged_snapshot(O2(), 3)
+    for query in (down_closure_symbolic, up_closure_symbolic, weakly_visible, gen_closure):
+        with pytest.raises(ValueError, match="unknown point 'bogus'"):
+            query(space, "bogus")

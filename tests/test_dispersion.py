@@ -152,6 +152,15 @@ def test_candidate_values_must_be_naturals():
         is_dispersion(chain, DispersionCandidate({"a": False, "b": True}))
 
 
+def test_candidate_keys_must_name_points_or_families():
+    circ = circle_snapshot()
+    values = {"C(1)": 0, "C(2)": 0, "C(3)": 0, "G": 1, "cyclic": 0}
+    assert is_dispersion(circ, DispersionCandidate(values)) == (True, None)
+    # the least unknown key by repr is named, before any value is checked
+    with pytest.raises(ValueError, match="names no point or family: 'bogus'"):
+        is_dispersion(circ, DispersionCandidate({**values, "zz": -5, "bogus": 5}))
+
+
 def test_hint_raises_member_height():
     space = FlaggedPriestley(
         frozenset({"G"}),

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from math import inf
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +41,7 @@ from prism import (
     finite_group_from_json,
     finite_weyl_criterion,
     flagged_snapshot,
+    flagged_to_json,
     group_from_spec,
     group_rank,
     has_finite_weyl,
@@ -467,6 +469,33 @@ def test_so3_snapshot_exceptional_points():
         assert not any(space.le(name, q) for q in space.concrete if q != name)
     assert "D(6)" in space.concrete and "D(8)" in space.concrete
     assert "D(2)" not in space.concrete and "D(4)" not in space.concrete
+
+
+ONEDIM_GOLDEN = Path(__file__).parent / "golden" / "onedim_snapshots.jsonl"
+
+
+def onedim_snapshots():
+    """The circle, O(2) and SO(3) at bounds 1, 2, 3 and 5, one JSON line
+    per group, bound and field: the snapshot as ``flagged_to_json`` writes
+    it (samples included), the key and pair order of ``_snapshot_data``,
+    and each part of ``snapshot_parts`` with its label."""
+    lines = []
+    for spec in ("circle", "o2", "so3"):
+        group = group_from_spec(spec)
+        for bound in (1, 2, 3, 5):
+            fields = {
+                "snapshot": json.loads(flagged_to_json(flagged_snapshot(group, bound))),
+                "keys": list(snapshot_keys(group, bound)),
+                "pairs": _snapshot_data(group, bound)[1],
+                "parts": [[label, json.loads(flagged_to_json(part))]
+                          for label, part in snapshot_parts(group, bound)],
+            }
+            lines += [json.dumps([spec, bound, name, value]) for name, value in fields.items()]
+    return "\n".join(lines) + "\n"
+
+
+def test_onedim_snapshots_golden():
+    assert onedim_snapshots() == ONEDIM_GOLDEN.read_text(encoding="utf-8")
 
 
 def test_finite_snapshot_is_antichain():
