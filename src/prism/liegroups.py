@@ -41,6 +41,7 @@ whichever defaults do not hold for it, ``_family_id`` among them.
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd, inf
+from operator import add
 import re
 
 from .errors import DimTooLarge, KeyMismatch, NotInvariant, UnsupportedGroup, Value
@@ -125,7 +126,7 @@ class DualLattice(Value):
     def name(self):
         if not self.rows:
             return "G"
-        return "L[%s]" % "; ".join(" ".join(str(x) for x in row) for row in self.rows)
+        return "L[%s]" % "; ".join(" ".join(map(str, row)) for row in self.rows)
 
 
 class FiniteIdx(Value):
@@ -520,11 +521,13 @@ class Torus(_Group):
 
         In-box argument: every row of an in-bound HNF key has entries in
         ``[-b, b]``, so the rows of any in-bound ``H`` above ``K`` are
-        points of ``L_K`` inside the box ``[-b, b]^r``.  Listing those
-        points once per ``K``, with their coordinates, and looking the keys
-        up by their first row replaces the test of every mixed-corank pair.
-        Each ``K``'s hits are sorted by key position, which gives the pair
-        list of the all-pairs test, in its order.
+        points of ``L_K`` inside the box ``[-b, b]^r``.  Each such row has
+        a positive pivot as its first nonzero entry, so only the half of the
+        box whose points lead with a positive entry is listed.  Listing
+        those points once per ``K``, with their coordinates, and looking up
+        the ones that are first rows of keys replaces the test of every
+        mixed-corank pair.  Each ``K``'s hits are sorted by key position,
+        which gives the pair list of the all-pairs test, in its order.
         """
         lattices = _hnf_lattices(self.rank, bound)
         keys = {k.name: k for k in lattices}
@@ -539,9 +542,9 @@ class Torus(_Group):
             if len(key.rows) > 1:
                 points = _box_points(key.rows, bound)
                 for index in by_first_row[:len(key.rows) - 1]:
-                    for point, coords in points.items():
-                        for pos, rows in index.get(point, ()):
-                            matrix = [coords] + [points.get(r) for r in rows[1:]]
+                    for point in points.keys() & index.keys():
+                        for pos, rows in index[point]:
+                            matrix = [points.get(r) for r in rows]
                             if None not in matrix and _primitive(matrix):
                                 hits.append(pos)
             up[name] = [names[pos] for pos in sorted(hits)]
@@ -648,6 +651,9 @@ def parse_key(group, name):
     return _parse_key(_catalog(group), name)
 
 
+_KEY_SYNTAX = re.compile(r"C\((\d+)\)|D\((\d+)\)|L\[(.*)\]")
+
+
 @lru_cache(maxsize=None)
 def _parse_key(group, name):
     """``parse_key`` for a catalog group; each name is parsed once.  The
@@ -656,30 +662,24 @@ def _parse_key(group, name):
     key = group._parse(name)
     if key is not None:
         return key
+    if name in _UNIT_KEYS:
+        return canonical_key(group, _UNIT_KEYS[name])
+    m = _KEY_SYNTAX.fullmatch(name)
+    if m is None:
+        raise KeyMismatch("cannot parse key %r" % (name,))
+    cyclic, dihedral, lattice = m.groups()
     try:
-        m = re.fullmatch(r"C\((\d+)\)", name)
-        if m:
-            return canonical_key(group, Cyc(int(m.group(1))))
-        m = re.fullmatch(r"D\((\d+)\)", name)
-        if m:
-            order = int(m.group(1))
-            if order % 2:
+        if cyclic is not None:
+            return canonical_key(group, Cyc(int(cyclic)))
+        if dihedral is not None:
+            if int(dihedral) % 2:
                 raise KeyMismatch("dihedral groups have even order: %r" % name)
-            return canonical_key(group, Dih(order // 2))
-        if name in _UNIT_KEYS:
-            return canonical_key(group, _UNIT_KEYS[name])
-        m = re.fullmatch(r"L\[(.*)\]", name)
-        if m:
-            body = m.group(1).strip()
-            rows = ()
-            if body:
-                rows = tuple(
-                    tuple(int(x) for x in part.split()) for part in body.split(";")
-                )
-            return canonical_key(group, DualLattice(group_rank(group), rows))
+            return canonical_key(group, Dih(int(dihedral) // 2))
+        rows = tuple(tuple(map(int, part.split())) for part in lattice.split(";")) \
+            if lattice.strip() else ()
+        return canonical_key(group, DualLattice(group_rank(group), rows))
     except ValueError as exc:  # a malformed number, or a row or key out of range
         raise KeyMismatch("cannot parse key %r for %r: %s" % (name, group, exc)) from None
-    raise KeyMismatch("cannot parse key %r" % (name,))
 
 
 def group_rank(group):
@@ -765,13 +765,17 @@ def _hnf_lattices(rank, bound):
 
 
 def _box_points(rows, bound):
-    """The points of the lattice with HNF basis ``rows`` inside the box
-    ``[-bound, bound]^r``, each mapped to its coordinates in that basis.
+    """The origin and the points of the lattice with HNF basis ``rows``
+    inside the box ``[-bound, bound]^r`` whose first nonzero entry is
+    positive, each mapped to its coordinates in that basis.
 
     The basis is triangular, so the points are built row by row.  The
     columns from a row's pivot up to the next pivot are final once that
     row's coefficient is chosen; each confines the coefficient to an
-    interval, and only coefficients in all of them are kept.
+    interval, and only coefficients in all of them are kept.  While the
+    earlier coefficients are all 0, the point's first nonzero entry is
+    this row's positive pivot times its coefficient, so the coefficient
+    is kept nonnegative: that is the half of the box an HNF row lies in.
     """
     pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
     ends = pivots[1:] + [len(rows[0])]
@@ -787,19 +791,31 @@ def _box_points(rows, bound):
                     lo, hi = max(lo, -((bound + c) // a)), min(hi, (bound - c) // a)
                 elif abs(c) > bound:
                     lo, hi = 1, 0
+            if not any(coords):  # the first nonzero coefficient is positive
+                lo = max(lo, 0)
+            point = tuple(x + lo * y for x, y in zip(v, row))
             for t in range(lo, hi + 1):
-                grown.append((tuple(x + t * y for x, y in zip(v, row)), coords + (t,)))
+                grown.append((point, coords + (t,)))
+                point = tuple(map(add, point, row))
         partial = grown
     return dict(partial)
 
 
 def _primitive(coords):
     """Whether one or two integer rows span a saturated sublattice: the
-    gcd of their maximal minors is 1."""
+    gcd of their maximal minors is 1.  The rows are the coordinates of an
+    HNF key's rows, which lead with a positive pivot and so lie in the half
+    of the box ``_box_points`` lists.  The gcd stops at the first minor
+    that brings it to 1."""
     if len(coords) == 1:
         return gcd(*coords[0]) == 1
     a, b = coords
-    return gcd(*(a[i] * b[j] - a[j] * b[i] for i, j in combinations(range(len(a)), 2))) == 1
+    g = 0
+    for i, j in combinations(range(len(a)), 2):
+        g = gcd(g, a[i] * b[j] - a[j] * b[i])
+        if g == 1:
+            return True
+    return False
 
 
 @lru_cache(maxsize=None)

@@ -76,6 +76,14 @@ def test_show_and_closed_sets(capsys):
     assert "cyclic: all" in out and "cyclic: finite" in out
 
 
+def test_show_torus2_bound6_golden(capsys):
+    """The torus order's points and pairs, byte for byte, at a rung of the
+    catalog benchmark."""
+    code, out, _ = run(capsys, "show", "torus:2", "--bound", "6")
+    assert code == 0
+    assert out.encode() == (GOLDEN / "show_torus2_bound6.txt").read_bytes()
+
+
 def test_check_dispersion(tmp_path, capsys):
     cand = {"C(1)": 0, "C(2)": 0, "G": 1, "cyclic": 0}
     path = tmp_path / "cand.json"

@@ -62,7 +62,7 @@ from prism import (
 )
 from prism import intlinalg as la
 from prism.cube import build_decomposition
-from prism.liegroups import _snapshot_data
+from prism.liegroups import _box_points, _hnf_lattices, _snapshot_data
 from prism.oracles import CATALOG_SWEEP, check_cotoral_order, check_snf_torsion
 
 
@@ -140,23 +140,47 @@ def test_torus_order_vs_all_pairs():
 @pytest.mark.parametrize("group, bound, n_keys, n_pairs", [
     (Torus(2), 12, 1249, 9718),
     (Torus(3), 3, 1450, 18267),
+    (Torus(2), 6, 211, 1153),
 ])
 def test_torus_order_index_vs_cotoral_le(group, bound, n_keys, n_pairs):
-    """The lattice-point index behind the torus order gives, for sampled
-    keys K, exactly the mixed-corank keys H with cotoral_le(K, H), in key
-    order; the counts are those of the all-pairs build."""
+    """The lattice-point index behind the torus order gives, for each key K
+    of a small snapshot and for sampled keys of a large one, exactly the
+    mixed-corank keys H with cotoral_le(K, H), in key order; the counts
+    are those of the all-pairs build."""
     keys, order_pairs, _, _ = _snapshot_data(group, bound)
     assert (len(keys), len(order_pairs)) == (n_keys, n_pairs)
     above = {name: [] for name in keys}
     for a, b in order_pairs:
         above[a].append(b)
     rng = random.Random(9000 + 10 * group.rank + bound)
-    for a in rng.sample(sorted(keys), 20):
+    # every key of T^2 at bound 6, a rung of the catalog benchmark, takes 0.2 s
+    for a in sorted(keys) if len(keys) < 500 else rng.sample(sorted(keys), 20):
         expected = [
             b for b in keys
             if keys[b].corank() > keys[a].corank() and cotoral_le(group, keys[a], keys[b])
         ]
         assert above[a] == expected, a
+
+
+@pytest.mark.parametrize("rank, bound", [(2, 4), (2, 6), (3, 2)])
+def test_box_points_vs_scan(rank, bound):
+    """For every key of at least two rows, the listed points are the origin
+    and the lattice points of the box [-b, b]^r whose first nonzero entry
+    is positive, each with its coordinates in the key's basis."""
+    box = list(itertools.product(range(-bound, bound + 1), repeat=rank))
+    for key in _hnf_lattices(rank, bound):
+        if len(key.rows) < 2:
+            continue
+        points = _box_points(key.rows, bound)
+        scan = {
+            x for x in box
+            if la.solve_in_lattice(key.rows, x) is not None
+            and next((v for v in x if v), 1) > 0
+        }
+        assert points.keys() == scan, key.name
+        for x, coords in points.items():
+            assert x == tuple(sum(c * row[j] for c, row in zip(coords, key.rows))
+                              for j in range(rank)), key.name
 
 
 def test_key_mismatch():
@@ -506,10 +530,34 @@ def test_finite_snapshot_is_antichain():
 
 
 def test_torus_snapshot_lattices_are_canonical():
+    """Each snapshot key is in Hermite normal form by the invariants
+    themselves, not by a second reduction: pivots positive and strictly
+    to the right of the last, zeros before them, and each entry above a
+    pivot in [0, pivot).  A unimodularly mixed copy of the rows reduces
+    back to them."""
+    rng = random.Random(11)
     for name, key in snapshot_keys(Torus(2), 3).items():
-        assert la.hermite_normal_form(key.rows) == key.rows
+        last = -1
+        for i, row in enumerate(key.rows):
+            p = next(j for j, x in enumerate(row) if x)
+            assert p > last and row[p] > 0, name
+            assert all(0 <= above[p] < row[p] for above in key.rows[:i]), name
+            last = p
+        mixed = [list(r) for r in key.rows]
+        for _ in range(4 if len(mixed) > 1 else 0):
+            i, j = rng.sample(range(len(mixed)), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
+        mixed = [[-x for x in r] if rng.random() < 0.5 else r for r in mixed]
+        rng.shuffle(mixed)
+        assert la.hermite_normal_form(mixed) == key.rows, name
         assert key_name(Torus(2), key) == name
         assert parse_key(Torus(2), name) == key
+    # a name that is not in Hermite normal form reads as the key it spans
+    assert parse_key(Torus(2), "L[1 -2; 0 2]") == snapshot_keys(Torus(2), 3)["L[1 0; 0 2]"]
+    # the rows may come from any iterable, a zip of columns among them
+    assert la.hermite_normal_form(zip((2, 0), (1, 3))) == ((2, 1), (0, 3))
+    assert la.hermite_normal_form(zip((1, 0), (0, 2))) == ((1, 0), (0, 2))
 
 
 def test_semidirect_snapshot_unsupported():
