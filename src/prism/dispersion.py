@@ -241,10 +241,10 @@ def strata(space, candidate, level):
     of the slice follows from them.  Values rise strictly along the covers,
     from member_gt to family to member_lt, and from a family to its limit.
     So P_below is a down-set, and open: a limit inside has its family's
-    value below its own.  Dually P_at_or_above is a closed up-set, and a
-    point or member of value ``level`` has everything below it, and every
-    family it is the limit of, outside that part: the slice is minimal and
-    isolated there.  Every portion is ``all`` or ``empty``.
+    value below its own.  Its complement P_at_or_above is then a closed
+    up-set, and a point or member of value ``level`` has everything below
+    it, and every family it is the limit of, outside that part: the slice
+    is minimal and isolated there.  Every portion is ``all`` or ``empty``.
     """
     ok, witness = is_dispersion(space, candidate)
     if not ok:
@@ -257,9 +257,8 @@ def strata(space, candidate, level):
             {f.id: (ALL if pred(values[f.id]) else EMPTY) for f in space.families},
         )
 
-    return StrataReport(
-        sym(lambda v: v == level), sym(lambda v: v < level), sym(lambda v: v >= level)
-    )
+    below = sym(lambda v: v < level)
+    return StrataReport(sym(lambda v: v == level), below, below.complement(space))
 
 
 # ---------------------------------------------------------------------------

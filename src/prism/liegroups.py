@@ -40,7 +40,7 @@ whichever defaults do not hold for it, ``_family_id`` among them.
 
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, inf
+from math import gcd, inf, prod
 from operator import add
 import re
 
@@ -49,6 +49,7 @@ from . import intlinalg as la
 from .priestley import (
     AccumulationFamily,
     FlaggedPriestley,
+    _check_key_count,
     _json_list,
     _json_loads,
     _json_object,
@@ -400,6 +401,8 @@ class _OneDim(_Group):
         return not any(self._KEYS[row[1]][3].is_finite() for row in self._FAMILIES)
 
     def _snapshot(self, bound):
+        units = [cls for cls in self._KEYS if issubclass(cls, _UnitKey)]
+        _check_key_count(len(units) + sum(max(0, bound + 1 - row[2]) for row in self._FAMILIES))
         keys, order_pairs, fams, parts = {}, [], [], []
         for fid, cls, first, limit, cotoral in self._FAMILIES:
             members = [cls(n) for n in range(first, bound + 1)]
@@ -411,7 +414,7 @@ class _OneDim(_Group):
             fams.append(AccumulationFamily(fid, limit, member_lt=above, samples=samples))
             parts.append((fid, (*names, limit), (fid,)))
             order_pairs += [(name, limit) for name in names if cotoral]
-        keys.update((cls.name, cls()) for cls in self._KEYS if issubclass(cls, _UnitKey))
+        keys.update((cls.name, cls()) for cls in units)
         parts += [(single, (single,), ()) for single in self._SINGLES]
         return keys, order_pairs, fams, parts
 
@@ -744,8 +747,11 @@ def _hnf_lattices(rank, bound):
 
     Per set of pivot columns and choice of pivots in [1, bound], each
     entry right of a row's pivot ranges over [0, p) in the column of a
-    lower row's pivot p, and over [-bound, bound] elsewhere.
+    lower row's pivot p, and over [-bound, bound] elsewhere.  Each choice's
+    count meets the key cap before its lattices are listed, and ``bound``
+    meets it first: there are at least as many one-row lattices.
     """
+    _check_key_count(bound)
     out = [DualLattice(rank, ())]
     anything = range(-bound, bound + 1)
     for k in range(1, rank + 1):
@@ -754,6 +760,7 @@ def _hnf_lattices(rank, bound):
             cells = [(i, j) for i in range(k) for j in range(cols[i] + 1, rank)]
             for pivots in product(range(1, bound + 1), repeat=k):
                 ranges = [range(pivots[row_of[j]]) if j in row_of else anything for _, j in cells]
+                _check_key_count(len(out) + prod(map(len, ranges)))
                 for entries in product(*ranges):
                     rows = [[0] * rank for _ in range(k)]
                     for i, c in enumerate(cols):
@@ -820,13 +827,14 @@ def _primitive(coords):
 
 @lru_cache(maxsize=None)
 def _snapshot_data(group, bound):
-    """Keys, order pairs, families, and part grouping for a catalog group."""
+    """Name-to-key map, flagged model and part grouping of a catalog
+    group's snapshot; the only cache of a snapshot."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    return _catalog(group)._snapshot(bound)
+    keys, order_pairs, fams, parts = _catalog(group)._snapshot(bound)
+    return keys, FlaggedPriestley(frozenset(keys), frozenset(order_pairs), tuple(fams)), parts
 
 
-@lru_cache(maxsize=None)
 def flagged_snapshot(group, bound):
     """Flagged model of the subgroup prism up to the complexity bound.
 
@@ -835,8 +843,7 @@ def flagged_snapshot(group, bound):
     keys; the order is cotoral, and each accumulation family records a
     tail of the catalog's convergent sequences.
     """
-    keys, order_pairs, fams, _ = _snapshot_data(group, bound)
-    return FlaggedPriestley(frozenset(keys), frozenset(order_pairs), tuple(fams))
+    return _snapshot_data(group, bound)[1]
 
 
 def snapshot_keys(group, bound):
@@ -851,8 +858,7 @@ def snapshot_parts(group, bound):
     singleton piece per exceptional class; finite groups fall apart into
     singletons; the circle and the tori are a single piece.
     """
-    space = flagged_snapshot(group, bound)
-    parts = _snapshot_data(group, bound)[3]
+    _, space, parts = _snapshot_data(group, bound)
     return [
         (label, restrict(space, points, fam_ids)) for label, points, fam_ids in parts
     ]

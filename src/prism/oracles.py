@@ -24,7 +24,6 @@ from .liegroups import (
     flagged_snapshot,
     key_name,
     _hnf_lattices,
-    _snapshot_data,
 )
 from .priestley import AccumulationFamily, FinitePriestley, FlaggedPriestley, down_sets
 from .spaces import guiding_examples
@@ -146,7 +145,7 @@ def check_cotoral_order():
     cases = 0
     for group, bounds in CATALOG_SWEEP:
         for bound in bounds:
-            keys, order_pairs, fams, _ = _snapshot_data(group, bound)
+            keys, order_pairs, fams, _ = group._snapshot(bound)
             pairs = [
                 (a, b)
                 for a in keys

@@ -142,6 +142,22 @@ def test_closed_sets_past_the_class_limit(monkeypatch, capsys):
     assert err == "ValueError: more than 4096 clopen down-set classes\n"
 
 
+def test_snapshot_past_the_key_limit():
+    # the key count is checked before any key is listed, so a huge bound
+    # fails at once instead of running until the memory is gone
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv in (["heights", "circle", "--bound", str(10**12)],
+                 ["heights", "torus:1", "--bound", str(10**12)],
+                 ["cube", "torus:3", "--bound", str(10**6)]):
+        result = subprocess.run(
+            [sys.executable, "-m", "prism.cli", *argv], capture_output=True, text=True,
+            timeout=30, env={**os.environ, "PYTHONPATH": path},
+        )
+        expected = "ValueError: more than %d snapshot keys\n" % priestley.SNAPSHOT_MAX_KEYS
+        assert (result.returncode, result.stdout, result.stderr) == (1, "", expected), argv
+
+
 def test_exit_codes(tmp_path, capsys):
     space = guiding_examples()[2]
     path = tmp_path / "chain.json"
@@ -158,7 +174,7 @@ def test_exit_codes(tmp_path, capsys):
     code, out, err = run(capsys, "check-dispersion", str(path), str(candidate))
     assert (code, out) == (1, "")
     assert err == "ValueError: candidate names no point or family: 'bogus'\n"
-    code, _, err = run(capsys, "noetherian", "su2")
+    code, _, err = run(capsys, "noetherian", "nosuchgroup")
     assert code == 1 and err.startswith("KeyMismatch")
     for argv in (["heights", "torus:4"], ["heights", "circle", "--bound", "0"]):
         code, out, err = run(capsys, *argv)

@@ -169,5 +169,6 @@ def test_cli_literals_match_the_library():
     assert cli._GROUP_NAMES == set(liegroups._GROUP_NAMES)
     assert cli._GROUP_KINDS == set(liegroups._GROUP_KINDS)
     for spec in ("circle", "o2", "so3", "nsu3t", "torus:2", "torus:x", "finite:x.json",
-                 "semidirect:y.json", "su2", "torus", "space.json", "circle.json", "circle:2"):
+                 "semidirect:y.json", "nosuchgroup", "torus", "space.json", "circle.json",
+                 "circle:2"):
         assert cli._is_group_spec(spec) == in_group_vocabulary(spec), spec

@@ -60,9 +60,9 @@ from prism import (
     toral_semidirect_from_json,
     weyl_data,
 )
-from prism import intlinalg as la
+from prism import intlinalg as la, priestley
 from prism.cube import build_decomposition
-from prism.liegroups import _box_points, _hnf_lattices, _snapshot_data
+from prism.liegroups import _box_points, _hnf_lattices
 from prism.oracles import CATALOG_SWEEP, check_cotoral_order, check_snf_torsion
 
 
@@ -147,7 +147,7 @@ def test_torus_order_index_vs_cotoral_le(group, bound, n_keys, n_pairs):
     of a small snapshot and for sampled keys of a large one, exactly the
     mixed-corank keys H with cotoral_le(K, H), in key order; the counts
     are those of the all-pairs build."""
-    keys, order_pairs, _, _ = _snapshot_data(group, bound)
+    keys, order_pairs, _, _ = group._snapshot(bound)
     assert (len(keys), len(order_pairs)) == (n_keys, n_pairs)
     above = {name: [] for name in keys}
     for a, b in order_pairs:
@@ -501,7 +501,7 @@ ONEDIM_GOLDEN = Path(__file__).parent / "golden" / "onedim_snapshots.jsonl"
 def onedim_snapshots():
     """The circle, O(2) and SO(3) at bounds 1, 2, 3 and 5, one JSON line
     per group, bound and field: the snapshot as ``flagged_to_json`` writes
-    it (samples included), the key and pair order of ``_snapshot_data``,
+    it (samples included), the key and pair order of ``group._snapshot``,
     and each part of ``snapshot_parts`` with its label."""
     lines = []
     for spec in ("circle", "o2", "so3"):
@@ -510,7 +510,7 @@ def onedim_snapshots():
             fields = {
                 "snapshot": json.loads(flagged_to_json(flagged_snapshot(group, bound))),
                 "keys": list(snapshot_keys(group, bound)),
-                "pairs": _snapshot_data(group, bound)[1],
+                "pairs": group._snapshot(bound)[1],
                 "parts": [[label, json.loads(flagged_to_json(part))]
                           for label, part in snapshot_parts(group, bound)],
             }
@@ -520,6 +520,18 @@ def onedim_snapshots():
 
 def test_onedim_snapshots_golden():
     assert onedim_snapshots() == ONEDIM_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_snapshot_key_cap_is_exact(monkeypatch):
+    """A snapshot of as many keys as the cap is built, one of more keys is
+    refused before its keys are listed."""
+    monkeypatch.setattr(priestley, "SNAPSHOT_MAX_KEYS", 1249)
+    assert len(_hnf_lattices(2, 12)) == len(_hnf_lattices(1, 1248)) == 1249
+    assert len(Circle()._snapshot(1248)[0]) == 1249
+    for build in (lambda: _hnf_lattices(2, 13), lambda: _hnf_lattices(1, 1249),
+                  lambda: Circle()._snapshot(1249), lambda: O2()._snapshot(624)):
+        with pytest.raises(ValueError, match="^more than 1249 snapshot keys$"):
+            build()
 
 
 def test_finite_snapshot_is_antichain():
@@ -777,8 +789,8 @@ def test_group_from_spec():
     assert Circle() == Circle() and Circle() != O2() and O2() != SO3()
     assert hash(SO3()) == hash(SO3()) and repr(SO3()) == "SO3()"
     with pytest.raises(KeyMismatch):
-        group_from_spec("su2")
+        group_from_spec("nosuchgroup")
     # outside the vocabulary; the CLI reads such an argument as a file path
-    for spec in ("su2", "torus", "torus3", "space.json", "circle:2"):
+    for spec in ("nosuchgroup", "torus", "torus3", "space.json", "circle:2"):
         with pytest.raises(KeyMismatch):
             group_from_spec(spec)
