@@ -868,10 +868,11 @@ def snapshot_parts(group, bound):
 # dimension and rank as candidate dispersions
 
 
-def _candidate(group, space, value_of_key):
-    """A key function's values on a snapshot; a family takes its limit's
+def _candidate(group, space, hook):
+    """The group's ``hook`` on a snapshot's keys; a family takes its limit's
     value minus one, as the limit is one dimension and rank above it."""
-    values = {name: value_of_key(parse_key(group, name)) for name in space.concrete}
+    value_of = getattr(_catalog(group), hook)
+    values = {name: value_of(parse_key(group, name)) for name in space.concrete}
     for f in space.families:
         if f.id != group._family_id(f.limit):
             raise KeyMismatch("unknown family %r" % (f.id,))
@@ -883,12 +884,12 @@ def _candidate(group, space, value_of_key):
 
 def dimension_candidate(group, space):
     """Subgroup dimension as a candidate dispersion on a snapshot."""
-    return _candidate(group, space, lambda k: key_dimension(group, k))
+    return _candidate(group, space, "_dimension")
 
 
 def rank_candidate(group, space):
     """Subgroup rank as a candidate dispersion on a snapshot."""
-    return _candidate(group, space, lambda k: key_rank(group, k))
+    return _candidate(group, space, "_rank")
 
 
 # ---------------------------------------------------------------------------
@@ -910,6 +911,8 @@ def finite_group_from_json(text):
         classes.append(
             FiniteClass(entry["id"], entry["weylOrder"], entry.get("weylName", ""))
         )
+    if not classes:
+        raise ValueError("a finite group has at least the class of its trivial subgroup")
     return FiniteGroup(tuple(classes))
 
 

@@ -265,20 +265,14 @@ class FlaggedPriestley(Value):
     cached properties built on first use, not fields, so equality, hashing,
     ``repr`` and ``replace`` see only the fields.  Equality and hashing
     compare the covers in place of ``order``; ``repr`` shows ``order``.  The
-    down- and up-set tests scan the covers once, not the principal
-    closures of the set's points.
+    down-set test scans the covers once, not the principal closures of the
+    set's points.
     """
 
     concrete: frozenset
     order: frozenset
-    families: tuple
+    families: tuple = ()
     _compare = ("concrete", "families", "covers")
-
-    def __init__(self, concrete, order, families=()):
-        object.__setattr__(self, "concrete", concrete)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "families", families)
-        self.__post_init__()
 
     def __post_init__(self):
         pts = frozenset(self.concrete)
@@ -337,11 +331,6 @@ class FlaggedPriestley(Value):
         """Whether ``subset`` holds everything below its points.  By
         transitivity it is enough that it holds the points they cover."""
         return all(a in subset for (a, b) in self.covers if b in subset)
-
-    def is_up_set(self, subset):
-        """Whether ``subset`` holds everything above its points, read off
-        the covers as in ``is_down_set``."""
-        return all(b in subset for (a, b) in self.covers if a in subset)
 
     def down_closure(self, p):
         return self._down_up[0].get(p, frozenset())

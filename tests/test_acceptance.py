@@ -186,6 +186,7 @@ def test_criterion_10_oracles():
     b = check_snf_torsion()
     c = check_derivative_vs_heights(kmax=3)
     d = check_down_sets()
+    assert (a, b, c, d) == (247, 333, 80, 12)
     passline(10, "oracle equivalences: isomax %d, lattice pairs %d, "
                  "derivative steps %d, down-set lattices %d; zero mismatches"
              % (a, b, c, d))

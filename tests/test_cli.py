@@ -179,6 +179,13 @@ def test_exit_codes(tmp_path, capsys):
     for argv in (["heights", "torus:4"], ["heights", "circle", "--bound", "0"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and err.startswith("ValueError: ")
+    # every finite group has the class of its trivial subgroup
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"classes": []}))
+    for command in ("heights", "cube"):
+        code, out, err = run(capsys, command, "finite:%s" % empty)
+        assert (code, out) == (1, "")
+        assert err == "ValueError: a finite group has at least the class of its trivial subgroup\n"
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
@@ -256,12 +263,26 @@ def test_cli_is_a_thin_adapter(capsys):
 
 def test_oracle_command(capsys):
     code, out, _ = run(capsys, "oracle", "isomax")
-    assert code == 0 and out.startswith("ok isomax (")
+    assert (code, out) == (0, "ok isomax (247 cases)\n")
     code, out, _ = run(capsys, "oracle", "downsets")
-    assert code == 0 and "ok downsets" in out
+    assert (code, out) == (0, "ok downsets (12 cases)\n")
     with pytest.raises(ValueError, match="unknown oracle suite 'nope'"):
         list(run_suite("nope"))
 
+
+def test_out_writes_the_printed_bytes(tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    for argv in (["heights", "circle", "--bound", "2"],
+                 ["cube", "torus:2", "--bound", "2", "--format", "json"]):
+        code, printed, _ = run(capsys, *argv)
+        assert code == 0 and printed
+        assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == printed.encode()
+        target.unlink()
+    code, out, err = run(capsys, "heights", "circle", "--bound", "0", "--out", str(target))
+    assert (code, out) == (1, "") and err.startswith("ValueError: ") and not target.exists()
+    code, out, err = run(capsys, "heights", "circle", "--bound", "2", "--out", str(tmp_path))
+    assert (code, out) == (1, "") and err.startswith("IsADirectoryError: ")
 
 
 def _family(**fields):

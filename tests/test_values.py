@@ -193,6 +193,13 @@ def test_constructor_signatures():
                   lambda: FlaggedPriestley({1}), lambda: SymbolicSet()):
         with pytest.raises(TypeError):
             build()
+    # the spaces use the base's constructor: its own error, naming the
+    # fields, and no cached property taken for the default of ``order``
+    for build in (lambda: FlaggedPriestley({1}), lambda: FinitePriestley({1}),
+                  lambda: FlaggedPriestley(concrete={1}, families=())):
+        with pytest.raises(TypeError, match=r"takes \('concrete', 'order', 'families'\)"):
+            build()
+    assert FlaggedPriestley(concrete={1}, order=[]).families == ()
     with pytest.raises(ValueError, match="cyclic order must be positive"):
         Cyc(0)
     with pytest.raises(ValueError, match="lattice row of wrong width"):
