@@ -176,9 +176,9 @@ class CubeDiagram(Value):
 
 
 def factor_label(group, point_name):
-    from .liegroups import parse_key, weyl_data
+    from .liegroups import parse_key
 
-    return _label(point_name, weyl_data(group, parse_key(group, point_name)))
+    return _label(point_name, group._weyl(parse_key(group, point_name)))
 
 
 def _label(point_name, w):
@@ -210,7 +210,7 @@ def build_decomposition(group, bound):
 
 def decomposition_of(group, snapshot, heights):
     """Cube diagram for an explicit snapshot with known finite heights."""
-    from .liegroups import parse_key, weyl_data
+    from .liegroups import parse_key
 
     if not heights.all_finite():
         raise NotDispersible("the space has points of infinite height")
@@ -218,7 +218,7 @@ def decomposition_of(group, snapshot, heights):
     strata_labels = {}
     for name in sorted(snapshot.concrete):
         strata_labels.setdefault(heights.heights[name], []).append(
-            _label(name, weyl_data(group, parse_key(group, name)))
+            _label(name, group._weyl(parse_key(group, name)))
         )
     for f in snapshot.families:
         strata_labels.setdefault(heights.family_heights[f.id], []).append(

@@ -619,15 +619,6 @@ def _closed(points, closure):
 # its classes are all listed, while T^2 at bound 2 (13 families) has 4097
 CLOPEN_MAX_CLASSES = 1 << 16
 
-# a group snapshot of more keys raises ValueError before they are listed:
-# T^3 at bound 4 has 5205, O(2) at bound 100 000 has 200 002 (1.4 s)
-SNAPSHOT_MAX_KEYS = 100_000
-
-
-def _check_key_count(n):
-    if n > SNAPSHOT_MAX_KEYS:
-        raise ValueError("more than %d snapshot keys" % SNAPSHOT_MAX_KEYS)
-
 
 def clopen_down_sets(space):
     """All shape classes of clopen down-sets of a flagged space.

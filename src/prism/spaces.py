@@ -27,15 +27,16 @@ LIMIT_BELOW = "limit-below"
 RELATIONS = (UNRELATED, LIMIT_ABOVE, DESCENDING_TO_LIMIT, LIMIT_BELOW)
 
 
-def convergent_sequence_space(relation, named=4):
+def convergent_sequence_space(relation):
     """A sequence of isolated points converging to the limit ``inf``.
 
     ``relation`` picks the order: ``unrelated`` (trivial order),
     ``limit-above`` (every member below the limit), ``descending-chain``
     (members form an infinite descending chain, limit underneath), or
-    ``limit-below`` (an antichain of members, limit underneath).  For the
-    two antichain variants ``named`` members are materialized as concrete
-    points; the chain variants keep all members anonymous.
+    ``limit-below`` (an antichain of members, limit underneath).  For
+    ``unrelated`` and ``limit-above`` four members, ``0`` to ``3``, are
+    concrete points and ``4`` to ``6`` are the family's samples; the other
+    two keep all members anonymous.
     """
     if relation not in RELATIONS:
         raise ValueError("unknown relation %r" % (relation,))
@@ -49,11 +50,10 @@ def convergent_sequence_space(relation, named=4):
             samples=("0", "1", "2"),
         )
         return FlaggedPriestley(frozenset({limit}), (), (fam,))
-    names = [str(i) for i in range(named)]
-    samples = tuple(str(named + i) for i in range(3))
+    names = ["0", "1", "2", "3"]
     member_lt = frozenset({limit}) if relation == LIMIT_ABOVE else frozenset()
     fam = AccumulationFamily(
-        id="tail", limit=limit, member_lt=member_lt, samples=samples
+        id="tail", limit=limit, member_lt=member_lt, samples=("4", "5", "6")
     )
     order = [(n, limit) for n in names] if relation == LIMIT_ABOVE else []
     return FlaggedPriestley(frozenset(names) | {limit}, order, (fam,))

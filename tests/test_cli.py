@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from prism import flagged_snapshot, flagged_to_json, Circle, guiding_examples, priestley
+from prism import flagged_snapshot, flagged_to_json, Circle, guiding_examples, liegroups, priestley
 from prism.cli import heights_table, main
 from prism.cube import build_decomposition, cube_to_json, isomax_table
 from prism.liegroups import O2
@@ -154,7 +154,7 @@ def test_snapshot_past_the_key_limit():
             [sys.executable, "-m", "prism.cli", *argv], capture_output=True, text=True,
             timeout=30, env={**os.environ, "PYTHONPATH": path},
         )
-        expected = "ValueError: more than %d snapshot keys\n" % priestley.SNAPSHOT_MAX_KEYS
+        expected = "ValueError: more than %d snapshot keys\n" % liegroups.SNAPSHOT_MAX_KEYS
         assert (result.returncode, result.stdout, result.stderr) == (1, "", expected), argv
 
 

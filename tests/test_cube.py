@@ -34,6 +34,7 @@ from prism import (
     recollement_schedule,
     thomason_heights,
 )
+from prism.cube import subset_name
 from prism.errors import replace
 from prism.oracles import check_isomax
 
@@ -122,6 +123,8 @@ def test_punctured_cube_counts():
     assert len(punctured_cube(3).points) == 15
     cube = punctured_cube(2)
     assert cube.le("0", "02") and not cube.le("02", "0")
+    # a subset with an element past 9 is named with commas
+    assert subset_name((0, 2)) == "02" and subset_name((0, 10)) == "0,10"
     with pytest.raises(ValueError):
         punctured_cube(-1)
 

@@ -38,7 +38,7 @@ from prism import (
     up_closure_symbolic,
     weakly_visible,
 )
-from prism import Circle, O2, SO3, Torus, flagged_snapshot
+from prism import Circle, FiniteClass, FiniteGroup, O2, SO3, Torus, flagged_snapshot
 from prism.errors import replace
 from prism.oracles import catalog_spaces, check_derivative_vs_heights, snapshot_spaces
 from prism.priestley import realize_in_truncation
@@ -230,8 +230,12 @@ def test_dimension_and_rank_candidates():
     foreign = FlaggedPriestley(
         circ.concrete, circ.order, circ.families + (AccumulationFamily("zz", "G"),)
     )
-    with pytest.raises(KeyMismatch):
-        dimension_candidate(Circle(), foreign)
+    # a finite group's snapshot has no families, so any family is foreign
+    finite = FiniteGroup((FiniteClass("G", 1),))
+    with_family = FlaggedPriestley({"G"}, [], (AccumulationFamily("zz", "G"),))
+    for group, space in ((Circle(), foreign), (finite, with_family)):
+        with pytest.raises(KeyMismatch, match="^unknown family 'zz'$"):
+            dimension_candidate(group, space)
 
 
 def test_universality_of_thomason_heights():
@@ -442,8 +446,8 @@ def test_surrogate_axiom_matches_closed_set_check():
     spaces = [
         circle_snapshot(2),
         flagged_snapshot(O2(), 2),
-        convergent_sequence_space("limit-above", named=2),
-        convergent_sequence_space("unrelated", named=2),
+        convergent_sequence_space("limit-above"),
+        convergent_sequence_space("unrelated"),
     ]
     for space in spaces:
         names = sorted(space.concrete) + [f.id for f in space.families]

@@ -60,7 +60,7 @@ from prism import (
     toral_semidirect_from_json,
     weyl_data,
 )
-from prism import intlinalg as la, priestley
+from prism import intlinalg as la, liegroups
 from prism.cube import build_decomposition
 from prism.liegroups import _box_points, _hnf_lattices
 from prism.oracles import CATALOG_SWEEP, check_cotoral_order, check_snf_torsion
@@ -525,7 +525,7 @@ def test_onedim_snapshots_golden():
 def test_snapshot_key_cap_is_exact(monkeypatch):
     """A snapshot of as many keys as the cap is built, one of more keys is
     refused before its keys are listed."""
-    monkeypatch.setattr(priestley, "SNAPSHOT_MAX_KEYS", 1249)
+    monkeypatch.setattr(liegroups, "SNAPSHOT_MAX_KEYS", 1249)
     assert len(_hnf_lattices(2, 12)) == len(_hnf_lattices(1, 1248)) == 1249
     assert len(Circle()._snapshot(1248)[0]) == 1249
     for build in (lambda: _hnf_lattices(2, 13), lambda: _hnf_lattices(1, 1249),
@@ -720,6 +720,31 @@ def test_weyl_order_must_be_a_positive_integer():
             finite_group_from_json(json.dumps(
                 {"classes": [{"id": "e", "weylOrder": 1}, {"id": "G", "weylOrder": order}]}
             ))
+
+
+def test_group_constructors_check_their_invariants():
+    # the JSON loaders check only JSON types; a group built in Python meets
+    # the same checks as one read from a file
+    empty = "^a finite group has at least the class of its trivial subgroup$"
+    for classes in ((), []):
+        with pytest.raises(ValueError, match=empty):
+            FiniteGroup(classes)
+    with pytest.raises(ValueError, match=empty):
+        finite_group_from_json(json.dumps({"classes": []}))
+    for rank in (2.0, "2", True):
+        with pytest.raises(ValueError, match="^rank must be an integer$"):
+            ToralSemidirect(rank, ())
+        with pytest.raises(ValueError, match="^torus rank is not an integer$"):
+            Torus(rank)
+        with pytest.raises(ValueError, match="^dimension must be an integer$"):
+            IntegerAction(rank, ())
+    with pytest.raises(ValueError, match="^rank must be an integer$"):
+        toral_semidirect_from_json(json.dumps({"rank": "2", "generators": []}))
+    for rank in (0, 4):
+        with pytest.raises(ValueError, match="^torus rank must be between 1 and 3$"):
+            Torus(rank)
+        with pytest.raises(ValueError, match="^rank must be between 1 and 3$"):
+            ToralSemidirect(rank, ())
 
 
 def test_parse_key_errors_and_reuse():

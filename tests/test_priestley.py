@@ -167,6 +167,8 @@ def test_inverse_examples():
     # minimal points: the shape of the fourth guiding order
     fam = inv.family("tail")
     assert fam.member_gt == frozenset({"inf"}) and not fam.member_lt
+    with pytest.raises(KeyError):
+        inv.family("nope")
     assert ("inf", "0") in inv.order
     assert thomason_points(inv).concrete == frozenset()
     assert not thomason_points(inv).portions

@@ -73,7 +73,8 @@ CASES = [
     (FiniteClass("e", 1), FiniteClass(id="e", weyl_order=1, weyl_name=""),
      FiniteClass("e", 1, "1"), "FiniteClass(id='e', weyl_order=1, weyl_name='')", "id"),
     (FiniteGroup((FiniteClass("e", 2, "C2"),)), FiniteGroup(classes=[FiniteClass("e", 2, "C2")]),
-     FiniteGroup(()), "FiniteGroup(classes=(FiniteClass(id='e', weyl_order=2, weyl_name='C2'),))",
+     FiniteGroup((FiniteClass("e", 1),)),
+     "FiniteGroup(classes=(FiniteClass(id='e', weyl_order=2, weyl_name='C2'),))",
      "classes"),
     (Circle(), Circle(), O2(), "Circle()", None),
     (SO3(), SO3(), O2(), "SO3()", None),
@@ -183,7 +184,8 @@ def test_caches_stay_out_of_equality_hash_and_repr():
 
 
 def test_constructor_signatures():
-    assert DualLattice(2) == DualLattice(2, ()) and FiniteGroup([]) == FiniteGroup(())
+    assert DualLattice(2) == DualLattice(2, ())
+    assert FiniteGroup([FiniteClass("e", 1)]) == FiniteGroup((FiniteClass("e", 1),))
     assert family(samples=()) == AccumulationFamily(
         id="f", limit="L", member_order=ANTICHAIN, member_lt={"L"}, member_gt=frozenset(),
         member_height_hint=2,
