@@ -312,8 +312,12 @@ class FiniteClass(Value):
     weyl_name: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ValueError("class id %r is not a string" % (self.id,))
         if type(self.weyl_order) is not int or self.weyl_order < 1:
             raise ValueError("Weyl order of %s must be an integer >= 1" % self.id)
+        if not isinstance(self.weyl_name, str):
+            raise ValueError("Weyl name of %s is not a string" % self.id)
 
     def component_name(self):
         return self.weyl_name or ("1" if self.weyl_order == 1 else "W%d" % self.weyl_order)
@@ -918,12 +922,6 @@ def finite_group_from_json(text):
     classes = []
     for entry in _json_list(data["classes"], "classes", dict):
         _json_object(entry, ("id", "weylOrder"), ("weylName",))
-        if not (
-            isinstance(entry["id"], str)
-            and isinstance(entry.get("weylName", ""), str)
-            and type(entry["weylOrder"]) is int
-        ):
-            raise ValueError("a class needs string id/weylName and an integer weylOrder")
         classes.append(
             FiniteClass(entry["id"], entry["weylOrder"], entry.get("weylName", ""))
         )

@@ -1,5 +1,6 @@
 """The command line is a thin, deterministic adapter over the library."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -133,9 +134,15 @@ def test_finite_class_named_like_a_shared_key(tmp_path, capsys):
     assert "G ~ D(Q)\n" in out and "e ~ D(Q[W2])\n" in out
 
 
+# sha256 of the stdout of "closed-sets torus:2 --bound 2": 1.7 MB, too big
+# for a golden file; the CI workflow checks the same digest
+CLOSED_SETS_TORUS2_SHA256 = "97a186046719c79b61e8304289758bf08f90f3278170a092c0a2d0e1c6710d5e"
+
+
 def test_closed_sets_past_the_class_limit(monkeypatch, capsys):
     code, out, _ = run(capsys, "closed-sets", "torus:2", "--bound", "2")
     assert code == 0 and out.startswith("4097 clopen down-set classes\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == CLOSED_SETS_TORUS2_SHA256
     monkeypatch.setattr(priestley, "CLOPEN_MAX_CLASSES", 4096)
     code, out, err = run(capsys, "closed-sets", "torus:2", "--bound", "2")
     assert code == 1 and out == ""
@@ -329,6 +336,10 @@ MALFORMED_INPUTS = [
     ("array-weyl-order", ["noetherian", "finite:"],
      {"classes": [{"id": "1", "weylOrder": [1]}]}),
     ("classes-not-array", ["noetherian", "finite:"], {"classes": 3}),
+    ("numeric-class-id", ["cube", "finite:"],
+     {"classes": [{"id": 1, "weylOrder": 1}, {"id": "x", "weylOrder": 2}]}),
+    ("numeric-weyl-name", ["cube", "finite:"],
+     {"classes": [{"id": "e", "weylOrder": 1, "weylName": 7}]}),
     ("zero-weyl-order", ["cube", "finite:"],
      {"classes": [{"id": "e", "weylOrder": 0}, {"id": "G", "weylOrder": -3}]}),
     ("negative-weyl-order", ["noetherian", "finite:"], {"classes": [{"id": "G", "weylOrder": -3}]}),

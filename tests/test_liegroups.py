@@ -722,6 +722,19 @@ def test_weyl_order_must_be_a_positive_integer():
             ))
 
 
+def test_class_id_and_weyl_name_must_be_strings():
+    # checked by the class itself, so a group built in Python is refused
+    # before a cube sorts mixed ids (tests/test_cli.py has the JSON cases)
+    for bad_id in (1, None, ("e",)):
+        with pytest.raises(ValueError, match="^class id .* is not a string$"):
+            FiniteClass(bad_id, 1)
+    with pytest.raises(ValueError, match="^class id 1 is not a string$"):
+        FiniteGroup((FiniteClass(1, 1), FiniteClass("x", 2)))
+    for name in (7, None, ["C2"]):
+        with pytest.raises(ValueError, match="^Weyl name of e is not a string$"):
+            FiniteClass("e", 1, name)
+
+
 def test_group_constructors_check_their_invariants():
     # the JSON loaders check only JSON types; a group built in Python meets
     # the same checks as one read from a file

@@ -35,6 +35,7 @@ from prism import (
     thomason_points,
     up_closure_symbolic,
 )
+from prism.liegroups import Torus, flagged_snapshot, group_from_spec
 from prism.priestley import realize_in_truncation
 
 
@@ -294,7 +295,7 @@ def per_point_clopen_down_sets(space):
     return tuple(out)
 
 
-def random_clash_space(rng, max_families):
+def random_clash_space(rng, max_families, min_families=0):
     """A seeded flagged space on points p0, p1, ... whose order pairs rise
     in index, or None when its families close a cycle.  Limits and bounds
     are drawn independently, so many member profiles clash."""
@@ -302,7 +303,7 @@ def random_clash_space(rng, max_families):
     pts = ["p%d" % i for i in range(n)]
     order = [(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
     fams = []
-    for k in range(rng.randint(0, max_families)):
+    for k in range(rng.randint(min_families, max_families)):
         cut = rng.randint(0, n)
         fams.append(AccumulationFamily(
             id="f%d" % k,
@@ -320,9 +321,14 @@ def random_clash_space(rng, max_families):
 def test_clopen_classes_match_per_point_closure():
     rng = random.Random(8080)
     spaces = [circle_model(), dihedral_model()]
-    while len(spaces) < 260:
-        # the last 60 spaces have up to ten families, 1024 member profiles
-        space = random_clash_space(rng, 5 if len(spaces) < 200 else 10)
+    while len(spaces) < 300:
+        # spaces 200-259 have up to ten families, 1024 member profiles; the
+        # last 40 have 9 to 12, so families 8 and up take their tags from a
+        # second cached block
+        if len(spaces) < 260:
+            space = random_clash_space(rng, 5 if len(spaces) < 200 else 10)
+        else:
+            space = random_clash_space(rng, 12, min_families=9)
         if space is not None:
             spaces.append(space)
     kept = profiles = 0
@@ -332,6 +338,25 @@ def test_clopen_classes_match_per_point_closure():
         kept += len(classes)
         profiles += 1 << len(space.families)
     assert len(spaces) < kept < profiles // 10
+
+
+@pytest.mark.parametrize("group,bound", [
+    ("torus:2", 2), ("circle", 6), ("o2", 6), ("so3", 6), ("torus:1", 6),
+])
+def test_clopen_classes_of_catalog_snapshots_match_per_point_closure(group, bound):
+    space = flagged_snapshot(group_from_spec(group), bound)
+    assert clopen_down_sets(space) == per_point_clopen_down_sets(space)
+
+
+def test_clopen_classes_of_torus2_realize_and_share_optional_sets():
+    space = flagged_snapshot(Torus(2), 2)
+    classes = clopen_down_sets(space)
+    assert len(classes) == 4097
+    first = {}
+    for cls in classes:
+        cls.realize(space)
+        assert first.setdefault(cls.optional, cls.optional) is cls.optional
+    assert len(first) == 24
 
 
 def former_is_down_set(poset, subset):
