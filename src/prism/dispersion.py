@@ -42,6 +42,8 @@ from .priestley import (
     _forced_closure,
     _kahn,
     _subspace,
+    down_closure_symbolic,
+    is_noetherian,
     restrict,
     thomason_points,
     up_closure_symbolic,
@@ -295,27 +297,21 @@ def weakly_visible(space, point):
 def gen_closure(space, point):
     """Subspace of everything the point generalizes to (cotorally above it).
 
-    Families are inherited only when their members genuinely lie above the
-    point, i.e. the point is one of their declared lower bounds; the
-    result carries the induced order.
+    It keeps the families the point's symbolic up-closure tags (members
+    above the point) whose limit it holds, and carries the induced order.
     """
-    return restrict(
-        space,
-        up_closure_symbolic(space, point).concrete,
-        [f.id for f in space.families if point in f.member_gt],
-    )
+    up = up_closure_symbolic(space, point)
+    return restrict(space, up.concrete, [fid for fid, _ in up.portions])
 
 
 def is_generically_noetherian(space):
     """Every generalization closure satisfies the descending chain condition.
 
-    No closure is built: the closure of ``p`` inherits a family exactly
-    when ``p`` is one of its lower bounds and the limit lies above ``p``,
-    and an inherited family breaks the condition when its limit does not
-    dominate its members.
+    A Noetherian space passes, as a closure inherits only dominated
+    families.  Otherwise the definition is evaluated on the points below
+    some family's lower bound, the only closures that inherit a family.
     """
-    return not any(
-        f.limit not in f.member_lt
-        and any(f.limit in up_closure_symbolic(space, p).concrete for p in f.member_gt)
-        for f in space.families
+    below = (down_closure_symbolic(space, g).concrete for f in space.families for g in f.member_gt)
+    return is_noetherian(space) or all(
+        is_noetherian(gen_closure(space, p)) for p in frozenset().union(*below)
     )

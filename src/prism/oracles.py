@@ -55,8 +55,6 @@ def _coset_count(coords, cap):
     enumeration of reduced residues."""
     hnf = la.hermite_normal_form(coords)
     k = len(coords[0])
-    if len(hnf) < k:
-        return None  # infinite quotient; filtered out by the caller
 
     def reduce(v):
         v = list(v)

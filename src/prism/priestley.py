@@ -554,13 +554,17 @@ def thomason_points(space):
 def is_noetherian(space):
     """Descending chain condition on closed down-sets of the modelled space.
 
-    A family whose limit does not dominate its members leaves infinitely
-    many pairwise-incomparable maximal points in the closure of any tail,
-    which yields an infinite strictly descending chain of closed down-sets;
-    conversely when every limit dominates, closed down-sets are determined
-    by finitely much data.  Finite posets always satisfy DCC.
+    It holds exactly when every limit dominates its members: the limit is
+    one of their upper bounds or lies above one, member-mediated relations
+    included.  An undominated family leaves infinitely many pairwise-
+    incomparable maximal points in the closure of any tail, an infinite
+    strictly descending chain of closed down-sets.  Finite posets pass.
     """
-    return all(f.limit in f.member_lt for f in space.families)
+    return all(
+        f.limit in f.member_lt
+        or not f.member_lt.isdisjoint(down_closure_symbolic(space, f.limit).concrete)
+        for f in space.families
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +697,7 @@ def clopen_down_sets(space):
     shared = {}
     out = []
     # (families left undecided, required, the points neither required nor
-    # excluded, profile so far); a branch whose forced share is placed
-    # already keeps its parent's sets.  An explicit stack, as a recursive closure
+    # excluded, profile so far).  An explicit stack, as a recursive closure
     # would keep ``out`` alive in a reference cycle until the cyclic
     # collector runs
     stack = [(n, frozenset(), space.concrete, 0)]
@@ -704,16 +707,9 @@ def clopen_down_sets(space):
             i -= 1
             if not clash_in[i] & ~profile:
                 down = pulled_in[i]
-                if down <= required:
-                    stack.append((i, required, optional, profile | 1 << i))
-                else:
-                    stack.append((i, required | down, optional - down, profile | 1 << i))
+                stack.append((i, required | down, optional - down, profile | 1 << i))
             if not clash_out[i] & profile:
-                up = pushed_out[i]
-                if up.isdisjoint(optional):
-                    stack.append((i, required, optional, profile))
-                else:
-                    stack.append((i, required, optional - up, profile))
+                stack.append((i, required, optional - pushed_out[i], profile))
             continue
         tags = ()
         for mask, span, cache in blocks:
@@ -770,10 +766,11 @@ def _subspace(cls, space, points, families):
 def restrict(space, points, family_ids):
     """Flagged subspace on the given points and families.
 
-    Family bounds are intersected with the surviving points; the caller is
-    responsible for the subset being meaningful (e.g. a clopen piece).  The
-    subspace carries the covers of its induced order, cut from the covers
-    of ``space`` when the subset is an up-set, and is not validated again.
+    Family bounds are intersected with the surviving points, and a family
+    whose bounds all survive is kept as it is; the caller is responsible
+    for the subset being meaningful (e.g. a clopen piece).  The subspace
+    carries the covers of its induced order, cut from the covers of
+    ``space`` when the subset is an up-set, and is not validated again.
     Points outside ``space`` raise ValueError.
     """
     pts = frozenset(points)
@@ -782,7 +779,8 @@ def restrict(space, points, family_ids):
         raise ValueError("restrict to unknown point %r" % (min(unknown),))
     ids = set(family_ids)
     fams = (
-        replace(f, member_lt=f.member_lt & pts, member_gt=f.member_gt & pts)
+        f if f.member_lt | f.member_gt <= pts
+        else replace(f, member_lt=f.member_lt & pts, member_gt=f.member_gt & pts)
         for f in space.families
         if f.id in ids and f.limit in pts
     )

@@ -391,6 +391,21 @@ def test_generically_noetherian_catalog():
     assert not is_generically_noetherian(convergent_sequence_space("limit-below"))
 
 
+def test_gen_closure_keeps_a_family_above_a_point_above_the_point():
+    # p < q < L with q a lower bound of f: f's members lie above p too
+    f = AccumulationFamily("f", "L", member_lt=frozenset({"L"}), member_gt=frozenset({"q"}))
+    space = FlaggedPriestley(frozenset({"p", "q", "L"}), [("p", "q"), ("q", "L")], (f,))
+    closure = gen_closure(space, "p")
+    assert closure.family_ids() == ("f",) and closure.family("f").member_gt == {"q"}
+
+
+def test_is_noetherian_does_not_depend_on_the_presentation_of_the_order():
+    # with x < L, the limit lies above the members whether or not L is listed
+    fams = [AccumulationFamily("f", "L", member_lt=lt) for lt in ({"x"}, {"x", "L"})]
+    spaces = [FlaggedPriestley(frozenset({"x", "L"}), [("x", "L")], (f,)) for f in fams]
+    assert [is_noetherian(s) for s in spaces] == [True, True]
+
+
 def test_inverse_of_dispersible_need_not_be():
     lim_above = convergent_sequence_space("limit-above")
     assert is_dispersible(lim_above)
@@ -509,6 +524,29 @@ def test_random_spaces_against_truncation():
         assert is_generically_noetherian(space) == reference
         verdicts.add(reference)
         assert flagged_to_json(inverse(inverse(space))) == flagged_to_json(space)
+    assert verdicts == {True, False}
+
+
+def test_noetherian_verdicts_and_gen_closures_against_truncation():
+    """Against the depth-2 truncation: a space is Noetherian exactly when
+    every limit lies above its family's first member; the generalization
+    closure of a point holds the concrete points above it, and the
+    families whose first member lies above it and whose limit is kept."""
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(2000):
+        space = random_flagged_space(rng)
+        finite = instantiate(space, 2)
+        first = {f.id: finite.up_closure("%s#0" % f.id) for f in space.families}
+        verdict = all(f.limit in first[f.id] for f in space.families)
+        assert is_noetherian(space) == verdict
+        verdicts.add(verdict)
+        for p in space.concrete:
+            above = finite.up_closure(p)
+            closure = gen_closure(space, p)
+            assert closure.concrete == above & space.concrete
+            kept = [f.id for f in space.families if "%s#0" % f.id in above and f.limit in above]
+            assert closure.family_ids() == tuple(kept)
     assert verdicts == {True, False}
 
 

@@ -79,6 +79,7 @@ def test_snf_determinant_and_divisibility():
             assert prod == abs(d)
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
+    assert la.det(()) == 1  # the empty product
 
 
 def test_snf_against_determinantal_divisors():

@@ -227,6 +227,7 @@ def test_clopen_classes_circle():
     assert len(classes) == 2
     finite_side = next(c for c in classes if c.tag("cyclic") == FINITE)
     assert finite_side.required == frozenset() and "G" not in finite_side.optional
+    assert finite_side.tag("no-such-family") == EMPTY
     whole = next(c for c in classes if c.tag("cyclic") == ALL)
     assert whole.required == circle_model().concrete
 
@@ -260,6 +261,9 @@ def test_clopen_class_realizations_are_clopen_down_sets():
             truncated = instantiate(space, 3)
             concrete = realize_in_truncation(space, s, 3)
             assert truncated.is_down_set(concrete)
+    # every member of the circle family without their limit: not closed
+    with pytest.raises(ValueError, match="not a clopen down-set"):
+        ClopenDownClass((("cyclic", ALL),), frozenset(), frozenset()).realize(circle_model())
 
 
 def per_point_clopen_down_sets(space):
@@ -503,6 +507,8 @@ def test_symbolic_set_predicates():
     assert tail_and_g.is_clopen(space)
     assert not tail_and_g.is_down_set(space)  # missing members below G
     assert tail_and_g.complement(space).portion("cyclic") == FINITE
+    assert whole.describe() == "{C(1), C(2), C(3), G} / members: {cyclic: all}"
+    assert just_g.describe() == "{G}"
 
 
 # ---------------------------------------------------------------------------
