@@ -532,33 +532,39 @@ class Torus(_Group):
 
         In-box argument: every row of an in-bound HNF key has entries in
         ``[-b, b]``, so the rows of any in-bound ``H`` above ``K`` are
-        points of ``L_K`` inside the box ``[-b, b]^r``.  Each such row has
-        a positive pivot as its first nonzero entry, so only the half of the
-        box whose points lead with a positive entry is listed.  Listing
-        those points once per ``K``, with their coordinates, and looking up
-        the ones that are first rows of keys replaces the test of every
-        mixed-corank pair.  Each ``K``'s hits are sorted by key position,
-        which gives the pair list of the all-pairs test, in its order.
+        points of ``L_K`` inside the box ``[-b, b]^r``; they lead with a
+        positive pivot, so only that half of the box is listed, once per
+        ``K`` with coordinates.  Each nonzero point listed is the row of a
+        one-row key, above ``K`` exactly when its coordinates have gcd 1; a
+        two-row key is above a three-row ``K`` when both its rows are listed
+        and their coordinates' cross product (the 2x2 minors) has gcd 1.
+        Each ``K``'s hits are sorted by key position, which gives the pair
+        list of the all-pairs test, in its order.
         """
         lattices = _hnf_lattices(self.rank, bound)
         keys = {k.name: k for k in lattices}
         names = list(keys)
-        by_first_row = [{} for _ in range(self.rank)]  # per row count
-        for pos, key in enumerate(lattices[1:], 1):
-            by_first_row[len(key.rows) - 1].setdefault(key.rows[0], []).append((pos, key.rows))
+        line = {k.rows[0]: pos for pos, k in enumerate(lattices) if len(k.rows) == 1}
+        planes = {}  # a two-row key's first row -> its second row -> its position
+        for pos, k in enumerate(lattices):
+            if len(k.rows) == 2:
+                planes.setdefault(k.rows[0], {})[k.rows[1]] = pos
         up = {}
         order_pairs = []
-        for name, key in keys.items():
+        for name, key in zip(names, lattices):
             hits = [0] if key.rows else []  # every proper subgroup lies under G
             if len(key.rows) > 1:
                 points = _box_points(key.rows, bound)
-                for index in by_first_row[:len(key.rows) - 1]:
-                    for point in points.keys() & index.keys():
-                        for pos, rows in index[point]:
-                            matrix = [points.get(r) for r in rows]
-                            if None not in matrix and _primitive(matrix):
-                                hits.append(pos)
-            up[name] = [names[pos] for pos in sorted(hits)]
+                hits += [line[x] for x, t in points.items() if gcd(*t) == 1]
+                if len(key.rows) == 3:
+                    for x, (a, b, c) in points.items():
+                        seconds = planes.get(x, {})
+                        for y in seconds.keys() & points.keys():
+                            d = points[y]
+                            if gcd(a * d[1] - b * d[0], a * d[2] - c * d[0], b * d[2] - c * d[1]) == 1:
+                                hits.append(seconds[y])
+                hits.sort()
+            up[name] = [names[pos] for pos in hits]
             order_pairs += [(name, above) for above in up[name]]
         corank = {name: k.corank() for name, k in keys.items()}
         fams = [
@@ -661,17 +667,27 @@ def key_name(group, key):
 
 def parse_key(group, name):
     """Inverse of key_name on the group's key vocabulary."""
-    return _parse_key(_catalog(group), name)
+    table = _key_table(_catalog(group))
+    key = table.get(name)
+    if key is None:
+        key = table[name] = _parse_key(group, name)
+    return key
+
+
+@lru_cache(maxsize=None)
+def _key_table(group):
+    """Name-to-key table of a catalog group.  A snapshot enters the keys it
+    built, so reading its points back parses nothing; any other name is
+    parsed on first use and entered."""
+    return {}
 
 
 _KEY_SYNTAX = re.compile(r"C\((\d+)\)|D\((\d+)\)|L\[(.*)\]")
 
 
-@lru_cache(maxsize=None)
 def _parse_key(group, name):
-    """``parse_key`` for a catalog group; each name is parsed once.  The
-    group's own names come first, so a finite group may call a class ``G``
-    or ``C(2)``."""
+    """The key a name reads as in a catalog group.  The group's own names
+    come first, so a finite group may call a class ``G`` or ``C(2)``."""
     key = group._parse(name)
     if key is not None:
         return key
@@ -798,60 +814,48 @@ def _box_points(rows, bound):
 
     The basis is triangular, so the points are built row by row.  The
     columns from a row's pivot up to the next pivot are final once that
-    row's coefficient is chosen; each confines the coefficient to an
-    interval, and only coefficients in all of them are kept.  While the
-    earlier coefficients are all 0, the point's first nonzero entry is
-    this row's positive pivot times its coefficient, so the coefficient
-    is kept nonnegative: that is the half of the box an HNF row lies in.
+    row's coefficient is chosen: the pivot column confines it to an
+    interval and the others narrow it.  While the earlier coefficients are
+    all 0, the coefficient is kept nonnegative, as the point's first
+    nonzero entry is this row's positive pivot times it: that is the half
+    of the box an HNF row lies in.
     """
-    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
-    ends = pivots[1:] + [len(rows[0])]
-    partial = [((0,) * len(rows[0]), ())]
-    for row, p, end in zip(rows, pivots, ends):
-        grown = []
-        for v, coords in partial:
-            lo, hi = -inf, inf  # the pivot column comes first and makes these integers
-            for a, c in zip(row[p:end], v[p:end]):
-                if a < 0:
-                    a, c = -a, -c
-                if a:
-                    lo, hi = max(lo, -((bound + c) // a)), min(hi, (bound - c) // a)
+    width = len(rows[0])
+    pivots = [row.index(next(filter(None, row))) for row in rows]
+    points = {(0,) * width: ()}
+    for row, p, end in zip(rows, pivots, pivots[1:] + [width]):
+        a = row[p]
+        rest = [(row[j], j) for j in range(p + 1, end)]
+        grown = {}
+        for v, coords in points.items():
+            c = v[p]
+            lo = -((bound + c) // a) if any(coords) else 0
+            hi = (bound - c) // a
+            for e, j in rest:
+                c = v[j]
+                if e < 0:
+                    e, c = -e, -c
+                if e:
+                    lo, hi = max(lo, -((bound + c) // e)), min(hi, (bound - c) // e)
                 elif abs(c) > bound:
-                    lo, hi = 1, 0
-            if not any(coords):  # the first nonzero coefficient is positive
-                lo = max(lo, 0)
-            point = tuple(x + lo * y for x, y in zip(v, row))
+                    hi = lo - 1
+            point = tuple([x + lo * y for x, y in zip(v, row)])
             for t in range(lo, hi + 1):
-                grown.append((point, coords + (t,)))
+                grown[point] = coords + (t,)
                 point = tuple(map(add, point, row))
-        partial = grown
-    return dict(partial)
-
-
-def _primitive(coords):
-    """Whether one or two integer rows span a saturated sublattice: the
-    gcd of their maximal minors is 1.  The rows are the coordinates of an
-    HNF key's rows, which lead with a positive pivot and so lie in the half
-    of the box ``_box_points`` lists.  The gcd stops at the first minor
-    that brings it to 1."""
-    if len(coords) == 1:
-        return gcd(*coords[0]) == 1
-    a, b = coords
-    g = 0
-    for i, j in combinations(range(len(a)), 2):
-        g = gcd(g, a[i] * b[j] - a[j] * b[i])
-        if g == 1:
-            return True
-    return False
+        points = grown
+    return points
 
 
 @lru_cache(maxsize=None)
 def _snapshot_data(group, bound):
     """Name-to-key map, flagged model and part grouping of a catalog
-    group's snapshot; the only cache of a snapshot."""
+    group's snapshot; the only cache of a snapshot.  Its keys go into the
+    group's key table, so ``parse_key`` reads the points back by lookup."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
     keys, order_pairs, fams, parts = _catalog(group)._snapshot(bound)
+    _key_table(group).update(keys)
     return keys, FlaggedPriestley(frozenset(keys), frozenset(order_pairs), tuple(fams)), parts
 
 

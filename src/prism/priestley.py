@@ -261,12 +261,12 @@ class FlaggedPriestley(Value):
     drops it from the instance, and a cached property closes it again from
     the principal up-sets on first read.  Principal down- and up-sets come
     from one index of both directions, cover lists per lower point from
-    another, and the forced closures read a trigger index; all three are
-    cached properties built on first use, not fields, so equality, hashing,
-    ``repr`` and ``replace`` see only the fields.  Equality and hashing
-    compare the covers in place of ``order``; ``repr`` shows ``order``.  The
-    down-set test scans the covers once, not the principal closures of the
-    set's points.
+    another, families by id from a third, and the forced closures read a
+    trigger index; all four are cached properties built on first use, not
+    fields, so equality, hashing, ``repr`` and ``replace`` see only the
+    fields.  Equality and hashing compare the covers in place of ``order``;
+    ``repr`` shows ``order``.  The down-set test scans the covers once, not
+    the principal closures of the set's points.
     """
 
     concrete: frozenset
@@ -338,11 +338,12 @@ class FlaggedPriestley(Value):
     def up_closure(self, p):
         return self._down_up[1].get(p, frozenset())
 
+    @cached_property
+    def _families_by_id(self):
+        return {f.id: f for f in self.families}
+
     def family(self, fid):
-        for f in self.families:
-            if f.id == fid:
-                return f
-        raise KeyError(fid)
+        return self._families_by_id[fid]
 
     def family_ids(self):
         return tuple(f.id for f in self.families)
@@ -777,12 +778,12 @@ def restrict(space, points, family_ids):
     unknown = pts - space.concrete
     if unknown:
         raise ValueError("restrict to unknown point %r" % (min(unknown),))
-    ids = set(family_ids)
+    by_id = space._families_by_id
     fams = (
         f if f.member_lt | f.member_gt <= pts
         else replace(f, member_lt=f.member_lt & pts, member_gt=f.member_gt & pts)
-        for f in space.families
-        if f.id in ids and f.limit in pts
+        for f in map(by_id.get, sorted(by_id.keys() & family_ids))
+        if f.limit in pts
     )
     return _subspace(FlaggedPriestley, space, pts, fams)
 

@@ -149,6 +149,22 @@ def test_closed_sets_past_the_class_limit(monkeypatch, capsys):
     assert err == "ValueError: more than 4096 clopen down-set classes\n"
 
 
+# sha256 of the stdout of "show torus:3" at bounds 2 and 3 (117 kB and
+# 869 kB): the torus order build, pinned byte for byte; the CI workflow
+# checks the same digests
+SHOW_TORUS3_SHA256 = {
+    "2": "e53009abc56416f4b4c2142fee10fb12fae1c19b80e708553ab932303962c155",
+    "3": "1f41ca45fa9934f26959c5b80746064079a052347a0b04ce413afabe68876ae5",
+}
+
+
+@pytest.mark.parametrize("bound", sorted(SHOW_TORUS3_SHA256))
+def test_show_torus3_digest(capsys, bound):
+    code, out, err = run(capsys, "show", "torus:3", "--bound", bound)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SHOW_TORUS3_SHA256[bound]
+
+
 def test_snapshot_past_the_key_limit():
     # the key count is checked before any key is listed, so a huge bound
     # fails at once instead of running until the memory is gone

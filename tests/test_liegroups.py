@@ -53,6 +53,8 @@ from prism import (
     normalizer_directions,
     parse_key,
     phi_is_finite,
+    rank_candidate,
+    restrict,
     snapshot_keys,
     snapshot_parts,
     spectrum_is_noetherian,
@@ -62,6 +64,7 @@ from prism import (
 )
 from prism import intlinalg as la, liegroups
 from prism.cube import build_decomposition
+from prism.errors import replace
 from prism.liegroups import _box_points, _hnf_lattices
 from prism.oracles import CATALOG_SWEEP, check_cotoral_order, check_snf_torsion
 
@@ -595,6 +598,36 @@ def test_snapshot_parts():
     assert union == whole.concrete
 
 
+# the smaller bound's snapshot is the larger one's truncation, on these bounds
+TRUNCATIONS = [
+    (group, b, larger)
+    for group, bounds in [(Circle(), (2, 3, 4, 8)), (O2(), (2, 3, 4, 8)), (SO3(), (2, 3, 4, 8)),
+                          (Torus(1), (2, 3, 4)), (Torus(2), (2, 3, 4, 6)), (Torus(3), (2, 3))]
+    for b, larger in itertools.combinations(bounds, 2)
+]
+
+
+@pytest.mark.parametrize("group, bound, larger", TRUNCATIONS)
+def test_snapshots_are_truncations_of_one_space(group, bound, larger):
+    """A snapshot is the larger bound's snapshot restricted to its points
+    and families, with the same Thomason heights, dimensions and ranks.  A
+    one-dimensional group's family samples name the first members past the
+    bound, so the families are compared without them."""
+    small, big = flagged_snapshot(group, bound), flagged_snapshot(group, larger)
+    cut = restrict(big, small.concrete, small.family_ids())
+    if isinstance(group, Torus):
+        assert cut == small
+    unsampled = lambda space: [replace(f, samples=()) for f in space.families]
+    assert (cut.concrete, cut.covers, unsampled(cut)) == \
+        (small.concrete, small.covers, unsampled(small))
+    heights, whole = thomason_heights(small), thomason_heights(big)
+    assert heights.heights == {p: whole.heights[p] for p in small.concrete}
+    assert heights.family_heights == {f: whole.family_heights[f] for f in small.family_ids()}
+    for candidate in (dimension_candidate, rank_candidate):
+        part, values = candidate(group, small).values, candidate(group, big).values
+        assert part == {x: values[x] for x in part}
+
+
 # ---------------------------------------------------------------------------
 # per-key tables
 
@@ -778,6 +811,29 @@ def test_parse_key_errors_and_reuse():
         first = parse_key(group, name)
         assert parse_key(group, name) == first
         assert key_name(group, first) == name
+
+
+@pytest.mark.parametrize("group, bound",
+                         [(group, b) for group, bounds in CATALOG_SWEEP for b in bounds]
+                         + [(sym3(), 1)])
+def test_snapshot_fills_the_key_table(group, bound):
+    """parse_key reads a snapshot's points back as the key objects the
+    snapshot built, and a cold parse of each name gives an equal key."""
+    liegroups._snapshot_data.cache_clear()
+    liegroups._key_table.cache_clear()
+    keys = snapshot_keys(group, bound)
+    assert all(parse_key(group, name) is key for name, key in keys.items())
+    liegroups._key_table.cache_clear()
+    assert all(parse_key(group, name) == key for name, key in keys.items())
+
+
+def test_a_name_parsed_before_the_snapshot_keeps_its_key():
+    liegroups._snapshot_data.cache_clear()
+    liegroups._key_table.cache_clear()
+    first = parse_key(Torus(2), "L[1 -2; 0 2]")  # not in Hermite normal form
+    keys = snapshot_keys(Torus(2), 3)
+    assert parse_key(Torus(2), "L[1 -2; 0 2]") == first == keys["L[1 0; 0 2]"]
+    assert key_name(Torus(2), first) == "L[1 0; 0 2]"
 
 
 def test_finite_class_names_shadow_the_shared_vocabulary():

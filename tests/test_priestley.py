@@ -35,6 +35,7 @@ from prism import (
     thomason_points,
     up_closure_symbolic,
 )
+from prism.errors import replace
 from prism.liegroups import Torus, flagged_snapshot, group_from_spec
 from prism.priestley import realize_in_truncation
 
@@ -568,6 +569,36 @@ def test_restrict_rejects_unknown_points():
     with pytest.raises(ValueError, match=r"^restrict to unknown point 'a'$"):
         restrict(space, {"inf", "b", "a"}, ["tail"])
     assert restrict(space, {"0", "inf"}, ["tail"]).le("0", "0")
+
+
+def test_restrict_takes_family_ids_in_any_order():
+    """Ids given reversed, repeated, unknown or as a one-pass iterator keep
+    the families a scan of the space's families gives: in id order, once
+    each, with their bounds cut to the points."""
+    space = flagged_snapshot(Torus(2), 3)
+    points, ids = sorted(space.concrete), list(space.family_ids())
+    rng = random.Random(26)
+    cut = 0
+    for _ in range(40):
+        pts = space.up_closure(rng.choice(points))
+        if rng.random() < 0.5:
+            pts = frozenset(rng.sample(points, 12))  # not an up-set: bounds are cut
+        chosen = rng.sample(ids, rng.randrange(len(ids) + 1))
+        given = chosen[::-1] + chosen[:3] + ["nope", "G"]  # "G" is a point, not a family
+        expected = tuple(
+            f if f.member_lt | f.member_gt <= pts
+            else replace(f, member_lt=f.member_lt & pts, member_gt=f.member_gt & pts)
+            for f in space.families
+            if f.id in given and f.limit in pts
+        )
+        cut += sum(f not in space.families for f in expected)
+        sub = restrict(space, pts, iter(given))
+        assert sub.families == expected
+        assert sub == restrict(space, pts, sorted(chosen))
+        assert [sub.family(f.id) for f in expected] == list(expected)
+        with pytest.raises(KeyError):
+            sub.family("nope")
+    assert cut
 
 
 def test_validation_errors():
