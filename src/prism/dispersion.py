@@ -42,7 +42,6 @@ from .priestley import (
     _forced_closure,
     _kahn,
     _subspace,
-    down_closure_symbolic,
     is_noetherian,
     restrict,
     thomason_points,
@@ -271,20 +270,20 @@ def weakly_visible(space, point):
     """Witness that {point} = (up-closure) & (clopen down-set), or None.
 
     The witness is the least clopen down-set containing the point, grown by
-    ``_forced_closure`` under its "visible" rule: members below a point
-    inside are all in, a limit inside takes a cofinite tail at least, and
-    either forces the down-closures of the limit and the member_gt.  Each
-    step is forced for any clopen down-set containing the point, so the
-    witness meeting the up-closure outside the point settles
-    non-visibility as soon as it happens.  The least set is a clopen
-    down-set by construction: its concrete part is a union of principal
-    down-sets; a family is tagged ``all`` when a point of its member_lt is
-    inside, else ``cofinite`` when its limit is, else not at all; and a
-    tagged family has its limit and member_gt inside.  No family may have
-    members in both sets (SymbolicSet drops empty tags).
+    ``_forced_closure``: members below a point inside are all in, a limit
+    inside takes a cofinite tail at least, and either forces the
+    down-closures of the limit and the member_gt.  Each step is forced for
+    any clopen down-set containing the point, so the witness meeting the
+    up-closure outside the point settles non-visibility as soon as it
+    happens.  The least set is a clopen down-set by construction: its
+    concrete part is a union of principal down-sets; a family is tagged
+    ``all`` when a point of its member_lt is inside, else ``cofinite``
+    when its limit is, else not at all; and a tagged family has its limit
+    and member_gt inside.  No family may have members in both sets
+    (SymbolicSet drops empty tags).
     """
     up = up_closure_symbolic(space, point)
-    witness = _forced_closure(space, point, "visible", up.concrete - {point})
+    witness = _forced_closure(space, point, up.concrete - {point})
     if witness is None or not witness._tags.keys().isdisjoint(up._tags):
         return None
     return witness
@@ -311,7 +310,7 @@ def is_generically_noetherian(space):
     families.  Otherwise the definition is evaluated on the points below
     some family's lower bound, the only closures that inherit a family.
     """
-    below = (down_closure_symbolic(space, g).concrete for f in space.families for g in f.member_gt)
+    below = (space.down_closure(g) for f in space.families for g in f.member_gt)
     return is_noetherian(space) or all(
         is_noetherian(gen_closure(space, p)) for p in frozenset().union(*below)
     )

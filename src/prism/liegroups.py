@@ -38,7 +38,7 @@ a group takes one subclass of ``_Group`` that defines ``_canonical``
 whichever defaults do not hold for it, ``_family_id`` among them.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import gcd, inf, prod
 from operator import add
@@ -265,6 +265,13 @@ class _Group(Value):
     through the group's ``_canonical``, which each group defines, as it
     defines ``_snapshot(bound)``: the snapshot's keys by name, its order
     pairs, families and parts."""
+
+    @cached_property
+    def _hash(self):  # the catalog caches key on the group; a finite group's reads each class
+        return Value.__hash__(self)
+
+    def __hash__(self):
+        return self._hash
 
     def _parse(self, name):
         """The key of a name in the group's own vocabulary, or None; it

@@ -9,7 +9,9 @@ behaviour: every infinite set of members accumulates exactly at the
 limit).  A member's order relations to the concrete points are declared
 wholesale: every point of ``member_lt`` sits strictly above every member,
 every point of ``member_gt`` strictly below.  Members of distinct
-families are incomparable by convention.
+families are incomparable by convention.  The order of the concrete
+points holds every pair the members imply, ``member_gt`` below
+``member_lt``, so its principal closures need no family rule.
 
 A finite poset is a flagged space without families: on a finite set the
 Stone topology is discrete, so a finite Priestley space carries no
@@ -255,18 +257,22 @@ class AccumulationFamily(Value):
 class FlaggedPriestley(Value):
     """Finitely presented countable Priestley space: points plus families.
 
-    ``order`` may be given as any relation; on construction it is checked
-    for antisymmetry and reduced to its covers, the stored order.  The
-    closed pair set ``order`` is no stored field value: the constructor
-    drops it from the instance, and a cached property closes it again from
-    the principal up-sets on first read.  Principal down- and up-sets come
-    from one index of both directions, cover lists per lower point from
-    another, families by id from a third, and the forced closures read a
-    trigger index; all four are cached properties built on first use, not
-    fields, so equality, hashing, ``repr`` and ``replace`` see only the
-    fields.  Equality and hashing compare the covers in place of ``order``;
-    ``repr`` shows ``order``.  The down-set test scans the covers once, not
-    the principal closures of the set's points.
+    ``order`` may be given as any relation.  On construction each pair
+    ``(g, l)`` of a family's ``member_gt`` and ``member_lt`` joins it, as
+    the members lie between them; the whole is checked for antisymmetry,
+    which refuses every cycle, one through members included, and reduced
+    to its covers, the stored order.  Spaces cut from a built one keep
+    these pairs.  The closed pair set ``order`` is no stored field value:
+    the constructor drops it from the instance, and a cached property
+    closes it again from the principal up-sets on first read.  Principal
+    down- and up-sets come from one index of both directions, cover lists
+    per lower point from another, families by id from a third, and
+    families by bound point and by limit from a trigger index; all four
+    are cached properties built on first use, not fields, so equality,
+    hashing, ``repr`` and ``replace`` see only the fields.  Equality and
+    hashing compare the covers in place of ``order``; ``repr`` shows
+    ``order``.  The down-set test scans the covers once, not the principal
+    closures of the set's points.
     """
 
     concrete: frozenset
@@ -276,26 +282,21 @@ class FlaggedPriestley(Value):
 
     def __post_init__(self):
         pts = frozenset(self.concrete)
-        covers, up = _transitive_closure(pts, set(map(tuple, self.order)))
         fams = tuple(sorted(self.families, key=lambda f: f.id))
         ids = [f.id for f in fams]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate family ids")
         if set(ids) & set(pts):
             raise ValueError("family ids must not collide with point names")
+        pairs = set(map(tuple, self.order))
         for f in fams:
             if f.limit not in pts:
                 raise ValueError("family %s has unknown limit %r" % (f.id, f.limit))
             if not (f.member_lt <= pts and f.member_gt <= pts):
                 raise ValueError("family %s bounds mention unknown points" % f.id)
-            for g in f.member_gt:
-                for l in f.member_lt:
-                    if g in up[l]:
-                        raise ValueError(
-                            "family %s would create a cycle: %r <= %r" % (f.id, l, g)
-                        )
+            pairs.update((g, l) for g in f.member_gt for l in f.member_lt)
         object.__setattr__(self, "concrete", pts)
-        object.__setattr__(self, "covers", covers)
+        object.__setattr__(self, "covers", _transitive_closure(pts, pairs)[0])
         object.__setattr__(self, "families", fams)
         object.__delattr__(self, "order")
 
@@ -357,11 +358,10 @@ class FlaggedPriestley(Value):
 
     @cached_property
     def _triggers(self):
-        """The trigger index of ``_forced_closure``.  Per rule, maps from a
-        point to the families it fires, with the tag each gives, and the
-        points that fire some family: going "down", the families whose
-        member_lt hold the point; going "up", those whose member_gt hold
-        it; "visible" adds those it is limit of."""
+        """The families a point triggers: point -> those whose member_lt
+        hold it, point -> those whose member_gt hold it, point -> those it
+        is limit of, and the points of the first and the third map.  The
+        symbolic closures read the first two, weak visibility the rest."""
         lt, gt, limit = {}, {}, {}
         for f in self.families:
             for q in f.member_lt:
@@ -369,11 +369,7 @@ class FlaggedPriestley(Value):
             for q in f.member_gt:
                 gt.setdefault(q, []).append(f)
             limit.setdefault(f.limit, []).append(f)
-        return {
-            "down": (((lt, ALL),), frozenset(lt)),
-            "up": (((gt, ALL),), frozenset(gt)),
-            "visible": (((lt, ALL), (limit, COFINITE)), frozenset(lt).union(limit)),
-        }
+        return lt, gt, limit, frozenset(lt).union(limit)
 
 
 class FinitePriestley(FlaggedPriestley):
@@ -464,57 +460,54 @@ class SymbolicSet(Value):
         return parts + (" / members: {%s}" % fams if fams else "")
 
 
-def _forced_closure(space, p, rule="down", avoid=frozenset()):
-    """The least symbolic set holding the down-set of ``p`` (its up-set
-    under the rule "up") and closed under the family rules; None as soon
-    as it meets ``avoid``.
+def _forced_closure(space, p, avoid=frozenset()):
+    """The least symbolic set holding the down-set of the point ``p`` and
+    closed under the visibility rules; None as soon as it meets ``avoid``.
 
-    A family fires when a point on the near side of its members joins the
-    set: it is tagged ``all``, and the closures of its far bounds join.
-    Under "visible" its limit joining fires it too, tagged ``cofinite``
-    unless it has a tag, and either tag forces the limit in as well.  One
-    worklist over the space's trigger index drives the rules.  Of the
-    points a closure adds, only those that fire some family are pushed; a
-    far bound already inside is skipped with its closure, as the set is a
-    union of principal closures; each family fires at most once per tag.
-    A point outside the space raises ValueError.
+    A family fires when a point of its member_lt joins the set, tagged
+    ``all``, or when its limit joins, tagged ``cofinite`` unless it has a
+    tag; either tag forces the down-closures of its limit and member_gt
+    in.  Each point popped off a worklist that is not inside yet adds its
+    down-closure, whose points fire families through the trigger index,
+    each at most once per tag.
     """
-    if p not in space.concrete:
-        raise ValueError("unknown point %r" % (p,))
-    rules, watch = space._triggers[rule]
-    down = rule != "up"
-    closure = space.down_closure if down else space.up_closure
-    start = closure(p)
-    if not start.isdisjoint(avoid):
-        return None
-    concrete, stack, tags = set(start), list(start & watch), {}
+    lt, _, limit, watch = space._triggers
+    concrete, stack, tags = set(), [p], {}
     while stack:
-        q = stack.pop()
-        for fired, tag in rules:
-            for f in fired.get(q, ()):
-                old = tags.get(f.id)
-                if old is ALL or old is tag:
-                    continue
-                tags[f.id] = tag
-                far = f.member_gt if down else f.member_lt
-                for r in (*far, f.limit) if rule == "visible" else far:
-                    if r not in concrete:
-                        new = closure(r) - concrete
-                        if not new.isdisjoint(avoid):
-                            return None
-                        concrete |= new
-                        stack.extend(new & watch)
+        r = stack.pop()
+        if r in concrete:
+            continue
+        down = space.down_closure(r)
+        if not down.isdisjoint(avoid):
+            return None
+        concrete |= down
+        for q in down & watch:
+            for fired, tag in ((lt, ALL), (limit, COFINITE)):
+                for f in fired.get(q, ()):
+                    if tags.get(f.id) not in (ALL, tag):
+                        tags[f.id] = tag
+                        stack += (*f.member_gt, f.limit)
     return SymbolicSet(frozenset(concrete), tags)
 
 
+def _symbolic_closure(space, p, closure, bounds):
+    """``closure(p)``, with all members of each family that ``bounds`` files under its points."""
+    if p not in space.concrete:
+        raise ValueError("unknown point %r" % (p,))
+    points = closure(p)
+    return SymbolicSet(points, {f.id: ALL for q in bounds.keys() & points for f in bounds[q]})
+
+
 def down_closure_symbolic(space, p):
-    """Everything below ``p``, member-mediated relations included."""
-    return _forced_closure(space, p)
+    """Everything below ``p``: its principal down-set, and all members of
+    each family with an upper bound (member_lt) in it."""
+    return _symbolic_closure(space, p, space.down_closure, space._triggers[0])
 
 
 def up_closure_symbolic(space, p):
-    """Everything above ``p``, member-mediated relations included."""
-    return _forced_closure(space, p, "up")
+    """Everything above ``p``: its principal up-set, and all members of
+    each family with a lower bound (member_gt) in it."""
+    return _symbolic_closure(space, p, space.up_closure, space._triggers[1])
 
 
 # ---------------------------------------------------------------------------
@@ -556,14 +549,14 @@ def is_noetherian(space):
     """Descending chain condition on closed down-sets of the modelled space.
 
     It holds exactly when every limit dominates its members: the limit is
-    one of their upper bounds or lies above one, member-mediated relations
-    included.  An undominated family leaves infinitely many pairwise-
-    incomparable maximal points in the closure of any tail, an infinite
-    strictly descending chain of closed down-sets.  Finite posets pass.
+    one of their upper bounds or lies above one in the order, which holds
+    the relations through members.  An undominated family leaves
+    infinitely many pairwise-incomparable maximal points in the closure of
+    any tail, an infinite strictly descending chain of closed down-sets.
+    Finite posets pass.
     """
     return all(
-        f.limit in f.member_lt
-        or not f.member_lt.isdisjoint(down_closure_symbolic(space, f.limit).concrete)
+        f.limit in f.member_lt or not f.member_lt.isdisjoint(space.down_closure(f.limit))
         for f in space.families
     )
 

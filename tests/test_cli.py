@@ -114,6 +114,23 @@ def test_flagged_json_input(tmp_path, capsys):
     assert code == 0 and "SO2 1" in out
 
 
+def test_show_lists_member_mediated_pairs_and_refuses_their_cycles(tmp_path, capsys):
+    # g lies below f's members and l above them, so g < l although no
+    # order pair says so
+    path = tmp_path / "space.json"
+    f = {"id": "f", "limit": "l", "memberGt": ["g"], "memberLt": ["l"]}
+    path.write_text(json.dumps({"points": ["g", "l"], "families": [f]}))
+    code, out, err = run(capsys, "show", str(path))
+    assert (code, err) == (0, "") and "order:\n  g < l\nfamilies:\n" in out
+    # a < (members of f1) < c < (members of f2) < b < a is a cycle
+    path.write_text(json.dumps({"points": ["a", "b", "c"], "order": [["b", "a"]], "families": [
+        {"id": "f1", "limit": "a", "memberGt": ["a"], "memberLt": ["c"]},
+        {"id": "f2", "limit": "c", "memberGt": ["c"], "memberLt": ["b"]},
+    ]}))
+    code, out, err = run(capsys, "show", str(path))
+    assert (code, out) == (1, "") and err.startswith("ValueError: order is not antisymmetric")
+
+
 def test_finite_group_spec(tmp_path, capsys):
     path = tmp_path / "s3.json"
     path.write_text(json.dumps({"classes": [

@@ -336,12 +336,19 @@ def test_weakly_visible_examples():
     assert w is not None and w.concrete == {"C(2)"}
     chain = convergent_sequence_space("descending-chain")
     assert weakly_visible(chain, "inf") is None
-    # the down-set of a meets the up-closure of a through f1 and f2
-    crossed = FlaggedPriestley({"a", "b", "c"}, {("b", "a")}, (
-        AccumulationFamily("f1", "a", member_gt={"a"}, member_lt={"c"}),
-        AccumulationFamily("f2", "c", member_gt={"c"}, member_lt={"b"}),
+    # members below Y converge to X above Y: a clopen down-set holding Y
+    # holds all the members, so X, which lies in the up-closure of Y
+    offside = FlaggedPriestley({"X", "Y"}, {("Y", "X")}, (
+        AccumulationFamily("f", "X", member_lt={"Y"}),
     ))
-    assert weakly_visible(crossed, "a") is None
+    assert weakly_visible(offside, "Y") is None
+    assert weakly_visible(offside, "X") is not None
+    # a < (members of f1) < c < (members of f2) < b < a is a cycle
+    with pytest.raises(ValueError, match="^order is not antisymmetric on "):
+        FlaggedPriestley({"a", "b", "c"}, {("b", "a")}, (
+            AccumulationFamily("f1", "a", member_gt={"a"}, member_lt={"c"}),
+            AccumulationFamily("f2", "c", member_gt={"c"}, member_lt={"b"}),
+        ))
 
 
 def test_weakly_visible_pulls_in_offside_limits():
@@ -530,23 +537,32 @@ def test_random_spaces_against_truncation():
 def test_noetherian_verdicts_and_gen_closures_against_truncation():
     """Against the depth-2 truncation: a space is Noetherian exactly when
     every limit lies above its family's first member; the generalization
-    closure of a point holds the concrete points above it, and the
-    families whose first member lies above it and whose limit is kept."""
+    closure of a point holds the concrete points above it, in the order
+    the truncation induces on them, and the families whose first member
+    lies above it and whose limit is kept; the space is generically
+    Noetherian exactly when every such closure is Noetherian.  Draw 2529
+    has a family whose members lie above the point while its limit does
+    not, and the relations through them still count."""
     rng = random.Random(5)
     verdicts = set()
-    for _ in range(2000):
+    for _ in range(2600):
         space = random_flagged_space(rng)
         finite = instantiate(space, 2)
         first = {f.id: finite.up_closure("%s#0" % f.id) for f in space.families}
         verdict = all(f.limit in first[f.id] for f in space.families)
         assert is_noetherian(space) == verdict
         verdicts.add(verdict)
+        generic = True
         for p in space.concrete:
             above = finite.up_closure(p)
             closure = gen_closure(space, p)
             assert closure.concrete == above & space.concrete
+            induced = {(a, b) for (a, b) in finite.order if {a, b} <= closure.concrete}
+            assert closure.order == induced
             kept = [f.id for f in space.families if "%s#0" % f.id in above and f.limit in above]
             assert closure.family_ids() == tuple(kept)
+            generic = generic and all(space.family(fid).limit in first[fid] for fid in kept)
+        assert is_generically_noetherian(space) == generic
     assert verdicts == {True, False}
 
 
@@ -599,7 +615,7 @@ def fixed_point_heights(space):
 def random_presentation(rng):
     """A random flagged space whose families may close cycles (a limit at
     or below a lower bound of the members), or None when the build rejects
-    the draw (an upper bound of the members at or below a lower bound)."""
+    the draw (an order cycle, one through family members included)."""
     n = rng.randint(1, 9)
     pts = ["p%d" % i for i in range(n)]
     order = [(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.25]

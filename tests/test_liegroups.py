@@ -850,6 +850,26 @@ def test_finite_class_names_shadow_the_shared_vocabulary():
     assert parse_key(Circle(), "G") == FullKey() and parse_key(Circle(), "C(2)") == Cyc(2)
 
 
+def test_key_lookups_do_not_hash_every_class(monkeypatch):
+    # parse_key finds its name table by the group's hash, which reads every
+    # class: hashing the group on each of n lookups would hash n * n classes
+    calls = 0
+    plain = FiniteClass.__hash__
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return plain(self)
+
+    monkeypatch.setattr(FiniteClass, "__hash__", counting)
+    for n in (50, 200):
+        group = FiniteGroup(tuple(FiniteClass("c%d" % i, 1) for i in range(n)))
+        space = flagged_snapshot(group, 1)
+        calls = 0
+        assert set(dimension_candidate(group, space).values.values()) == {0}
+        assert calls <= n
+
+
 def test_toral_semidirect_dimension_and_rank():
     o2 = ToralSemidirect(1, (((-1,),),), ((0, 0),))
     for group, r in [(NSU3T, 2), (o2, 1), (ToralSemidirect(3, ()), 3)]:

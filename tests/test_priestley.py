@@ -612,6 +612,16 @@ def test_validation_errors():
             (AccumulationFamily(id="f", limit="a", member_lt=frozenset("a"),
                                 member_gt=frozenset("b")),),
         )
+    with pytest.raises(ValueError, match="^order is not antisymmetric on "):
+        # a cycle through two families: a < f members < c < g members < b < a
+        FlaggedPriestley(
+            frozenset("abc"),
+            [("b", "a")],
+            (AccumulationFamily(id="f", limit="a", member_lt=frozenset("c"),
+                                member_gt=frozenset("a")),
+             AccumulationFamily(id="g", limit="c", member_lt=frozenset("b"),
+                                member_gt=frozenset("c"))),
+        )
     with pytest.raises(ValueError):
         FiniteTopSpace(frozenset("ab"), [frozenset(), frozenset("a"), frozenset("b")])
     with pytest.raises(ValueError, match="not a subset"):
