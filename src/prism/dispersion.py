@@ -33,19 +33,19 @@ from .errors import ChecksFailed, InconsistentHint, Value, replace
 from .priestley import (
     ALL,
     ANTICHAIN,
+    COFINITE,
     DESCENDING,
     EMPTY,
     FinitePriestley,
     FlaggedPriestley,
     SymbolicSet,
     _assemble,
-    _forced_closure,
     _kahn,
+    _principal,
     _subspace,
     is_noetherian,
     restrict,
     thomason_points,
-    up_closure_symbolic,
 )
 
 
@@ -269,24 +269,44 @@ def strata(space, candidate, level):
 def weakly_visible(space, point):
     """Witness that {point} = (up-closure) & (clopen down-set), or None.
 
-    The witness is the least clopen down-set containing the point, grown by
-    ``_forced_closure``: members below a point inside are all in, a limit
-    inside takes a cofinite tail at least, and either forces the
-    down-closures of the limit and the member_gt.  Each step is forced for
-    any clopen down-set containing the point, so the witness meeting the
-    up-closure outside the point settles non-visibility as soon as it
-    happens.  The least set is a clopen down-set by construction: its
-    concrete part is a union of principal down-sets; a family is tagged
-    ``all`` when a point of its member_lt is inside, else ``cofinite``
-    when its limit is, else not at all; and a tagged family has its limit
-    and member_gt inside.  No family may have members in both sets
-    (SymbolicSet drops empty tags).
+    The witness is the least clopen down-set containing the point: the
+    principal down-set, which meets the up-set only in the point, grown by
+    rules every such set obeys.  Members below a point inside are all in
+    (tag ``all``), a limit inside takes a cofinite tail at least (tag
+    ``cofinite``), and either tag forces the down-closures of the limit and
+    the member_gt in.  So the answer is None as soon as an added down-set
+    meets the up-set, or a tagged family has a member_gt there, its members
+    lying above the point.  The trigger index names the families an added
+    down-set fires, each at most once per tag, and a worklist holds the
+    points whose down-sets are still to add.  The result is a union of
+    principal down-sets whose tagged families have their limits and
+    member_gt inside, so a clopen down-set.  When no family is tagged, its
+    concrete part is the cached principal down-set itself.
     """
-    up = up_closure_symbolic(space, point)
-    witness = _forced_closure(space, point, up.concrete - {point})
-    if witness is None or not witness._tags.keys().isdisjoint(up._tags):
-        return None
-    return witness
+    lower, upper = space._down_up
+    up = upper.get(point)
+    if up is None:
+        raise ValueError("unknown point %r" % (point,))
+    lt, _, limit, watch = space._triggers
+    concrete = down = lower[point]
+    stack, tags = [], {}
+    while True:
+        for q in down & watch:
+            for fired, tag in ((lt, ALL), (limit, COFINITE)):
+                for f in fired.get(q, ()):
+                    if tags.get(f.id) not in (ALL, tag):
+                        if not f.member_gt.isdisjoint(up):
+                            return None
+                        tags[f.id] = tag
+                        stack += (*f.member_gt, f.limit)
+        while stack and stack[-1] in concrete:
+            stack.pop()
+        if not stack:
+            return SymbolicSet(concrete, tags)
+        down = lower[stack.pop()]
+        if not down.isdisjoint(up):
+            return None
+        concrete |= down
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +319,7 @@ def gen_closure(space, point):
     It keeps the families the point's symbolic up-closure tags (members
     above the point) whose limit it holds, and carries the induced order.
     """
-    up = up_closure_symbolic(space, point)
-    return restrict(space, up.concrete, [fid for fid, _ in up.portions])
+    return restrict(space, *_principal(space, point, 1))
 
 
 def is_generically_noetherian(space):

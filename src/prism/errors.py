@@ -57,7 +57,8 @@ class Value:
 
     Six hot classes keep a faster ``__init__`` of their own: ``DualLattice``,
     ``AccumulationFamily``, ``Cyc``, ``Dih`` (1440, 862, 714, 342 per catalog
-    sweep), ``SymbolicSet``, ``ClopenDownClass`` (4200 per point-query pass).
+    sweep), ``SymbolicSet``, ``ClopenDownClass`` (2500, 4130 per point-query
+    pass).
     """
 
     _fields = _compare = ()

@@ -361,7 +361,12 @@ class FlaggedPriestley(Value):
         """The families a point triggers: point -> those whose member_lt
         hold it, point -> those whose member_gt hold it, point -> those it
         is limit of, and the points of the first and the third map.  The
-        symbolic closures read the first two, weak visibility the rest."""
+        symbolic and generalization closures read the first two, meeting
+        their keys with a principal set.  Weak visibility reads the other
+        three: a point of a down-set it adds that lies in the fourth fires
+        families through the first and the third.  It tests each fired
+        family's member_gt against the up-set of the queried point, and
+        so never reads the second."""
         lt, gt, limit = {}, {}, {}
         for f in self.families:
             for q in f.member_lt:
@@ -460,54 +465,28 @@ class SymbolicSet(Value):
         return parts + (" / members: {%s}" % fams if fams else "")
 
 
-def _forced_closure(space, p, avoid=frozenset()):
-    """The least symbolic set holding the down-set of the point ``p`` and
-    closed under the visibility rules; None as soon as it meets ``avoid``.
-
-    A family fires when a point of its member_lt joins the set, tagged
-    ``all``, or when its limit joins, tagged ``cofinite`` unless it has a
-    tag; either tag forces the down-closures of its limit and member_gt
-    in.  Each point popped off a worklist that is not inside yet adds its
-    down-closure, whose points fire families through the trigger index,
-    each at most once per tag.
-    """
-    lt, _, limit, watch = space._triggers
-    concrete, stack, tags = set(), [p], {}
-    while stack:
-        r = stack.pop()
-        if r in concrete:
-            continue
-        down = space.down_closure(r)
-        if not down.isdisjoint(avoid):
-            return None
-        concrete |= down
-        for q in down & watch:
-            for fired, tag in ((lt, ALL), (limit, COFINITE)):
-                for f in fired.get(q, ()):
-                    if tags.get(f.id) not in (ALL, tag):
-                        tags[f.id] = tag
-                        stack += (*f.member_gt, f.limit)
-    return SymbolicSet(frozenset(concrete), tags)
-
-
-def _symbolic_closure(space, p, closure, bounds):
-    """``closure(p)``, with all members of each family that ``bounds`` files under its points."""
-    if p not in space.concrete:
+def _principal(space, p, side):
+    """The principal down-set (``side`` 0) or up-set (``side`` 1) of the
+    point ``p``, and the tags of its symbolic closure: ``all`` by the id of
+    each family whose member_lt (member_gt) meets it, as all its members
+    lie below (above) ``p``.  An unknown point raises ValueError."""
+    points = space._down_up[side].get(p)
+    if points is None:
         raise ValueError("unknown point %r" % (p,))
-    points = closure(p)
-    return SymbolicSet(points, {f.id: ALL for q in bounds.keys() & points for f in bounds[q]})
+    bounds = space._triggers[side]
+    return points, {f.id: ALL for q in bounds.keys() & points for f in bounds[q]}
 
 
 def down_closure_symbolic(space, p):
     """Everything below ``p``: its principal down-set, and all members of
     each family with an upper bound (member_lt) in it."""
-    return _symbolic_closure(space, p, space.down_closure, space._triggers[0])
+    return SymbolicSet(*_principal(space, p, 0))
 
 
 def up_closure_symbolic(space, p):
     """Everything above ``p``: its principal up-set, and all members of
     each family with a lower bound (member_gt) in it."""
-    return _symbolic_closure(space, p, space.up_closure, space._triggers[1])
+    return SymbolicSet(*_principal(space, p, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The forced closures against their round-based reference loops.
 
-Both symbolic closures and the weak-visibility witness are grown by one
-worklist over a trigger index.  The references below are the loops they
-replace: each round rescans every family until nothing changes.  The
-worklist must give the same symbolic sets, tags and witnesses.
+The symbolic closures read the principal sets and the trigger index, and
+the weak-visibility witness is grown by one worklist over that index.
+The references below are the loops they replace: each round rescans every
+family until nothing changes.  Both must give the same symbolic sets, tags
+and witnesses.
 """
 
 import random
@@ -201,3 +202,31 @@ def test_point_queries_reject_unknown_points():
     for query in (down_closure_symbolic, up_closure_symbolic, weakly_visible, gen_closure):
         with pytest.raises(ValueError, match="unknown point 'bogus'"):
             query(space, "bogus")
+
+
+def test_point_queries_build_no_symbolic_up_closure(monkeypatch):
+    # weak visibility reads the up-set off the order index and builds only
+    # its witness; a generalization closure hands the principal up-set to
+    # restrict and builds no symbolic set
+    calls = 0
+    plain = SymbolicSet.__init__
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        plain(self, *args)
+
+    monkeypatch.setattr(SymbolicSet, "__init__", counting)
+    spaces = [flagged_snapshot(O2(), 8), flagged_snapshot(Torus(2), 4)]
+    spaces += seeded_random_spaces()[::10]
+    built = 0
+    for space in spaces:
+        for p in sorted(space.concrete):
+            calls = 0
+            witness = weakly_visible(space, p)
+            assert calls == (witness is not None), p
+            built += calls
+            calls = 0
+            gen_closure(space, p)
+            assert calls == 0, p
+    assert built > 100

@@ -517,6 +517,7 @@ def random_flagged_space(rng):
 def test_random_spaces_against_truncation():
     rng = random.Random(20261018)
     verdicts = set()
+    witnesses = 0
     for _ in range(300):
         space = random_flagged_space(rng)
         for depth in (1, 3):
@@ -526,12 +527,21 @@ def test_random_spaces_against_truncation():
                 down = down_closure_symbolic(space, p)
                 assert realize_in_truncation(space, up, depth) == finite.up_closure(p)
                 assert realize_in_truncation(space, down, depth) == finite.down_closure(p)
+                # a witness is a down-set of the truncation meeting the
+                # point's up-set there in the point alone
+                witness = weakly_visible(space, p)
+                if witness is not None:
+                    realized = realize_in_truncation(space, witness, depth)
+                    assert finite.is_down_set(realized), (p, witness)
+                    assert realized & finite.up_closure(p) == {p}, (p, witness)
+                    witnesses += 1
         # the per-point definition: every generalization closure is Noetherian
         reference = all(is_noetherian(gen_closure(space, p)) for p in space.concrete)
         assert is_generically_noetherian(space) == reference
         verdicts.add(reference)
         assert flagged_to_json(inverse(inverse(space))) == flagged_to_json(space)
     assert verdicts == {True, False}
+    assert witnesses == 2532  # of 3092 points
 
 
 def test_noetherian_verdicts_and_gen_closures_against_truncation():

@@ -18,6 +18,9 @@ from prism import (
     FiniteTopSpace,
     FlaggedPriestley,
     NotT0,
+    SO3,
+    Circle,
+    O2,
     SymbolicSet,
     clopen_down_sets,
     convergent_sequence_space,
@@ -29,9 +32,11 @@ from prism import (
     inverse,
     is_noetherian,
     priestley_of_spectral,
+    punctured_cube,
     restrict,
     specialization_order,
     spectral_of_priestley,
+    thomason_heights,
     thomason_points,
     up_closure_symbolic,
 )
@@ -552,6 +557,38 @@ def test_order_closure_against_brute_force():
         assert space.minimal_points() == {
             p for p in range(n) if all((q, p) not in closed for q in range(n) if q != p)
         }
+
+
+def test_order_and_heights_against_networkx():
+    """The covers are networkx's transitive reduction of the order, the
+    order its reflexive transitive closure of the covers, and on a finite
+    poset the Thomason height of a point is the longest path ending there."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2028)
+    spaces = [flagged_snapshot(g, b) for g, b in
+              ((Circle(), 8), (O2(), 8), (SO3(), 8), (Torus(2), 4), (Torus(3), 2))]
+    posets = [punctured_cube(3)]
+    for _ in range(30):
+        n = rng.randint(1, 12)
+        rank = dict(zip(rng.sample(range(n), n), range(n)))  # acyclic draws
+        pairs = [(a, b) for a in range(n) for b in range(n) if rank[a] < rank[b] and rng.random() < 0.3]
+        posets.append(FinitePriestley(frozenset(range(n)), pairs))
+        given = nx.DiGraph(pairs)
+        given.add_nodes_from(range(n))
+        assert posets[-1].covers == set(nx.transitive_reduction(given).edges)
+    for space in spaces + posets:
+        strict = nx.DiGraph(ab for ab in space.order if ab[0] != ab[1])
+        strict.add_nodes_from(space.concrete)
+        assert space.covers == set(nx.transitive_reduction(strict).edges)
+        hasse = nx.DiGraph(space.covers)
+        hasse.add_nodes_from(space.concrete)
+        assert space.order == set(nx.transitive_closure(hasse, reflexive=True).edges)
+    for poset in posets:
+        graph = nx.DiGraph(poset.covers)
+        graph.add_nodes_from(poset.points)
+        longest = {p: nx.dag_longest_path_length(graph.subgraph(nx.ancestors(graph, p) | {p}))
+                   for p in poset.points}
+        assert thomason_heights(poset).heights == longest
 
 
 def test_three_cycle_is_rejected_by_both_classes():
