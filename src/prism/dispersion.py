@@ -40,9 +40,9 @@ from .priestley import (
     FlaggedPriestley,
     SymbolicSet,
     _assemble,
+    _cut_minimal,
     _kahn,
     _principal,
-    _subspace,
     is_noetherian,
     restrict,
     thomason_points,
@@ -91,21 +91,21 @@ def thomason_derivative(space):
     """
     tp = thomason_points(space)
     if isinstance(space, FinitePriestley):  # its Thomason points are a plain set
-        tp = SymbolicSet(tp)
-    keep = space.concrete - tp.concrete
-    consumed = {fid for fid, tag in tp.portions}
+        return _cut_minimal(space, tp, ())
+    cut, consumed = tp.concrete, tp._tags
+    # a Thomason point is minimal, so in no family's member_lt
     families = (
-        replace(
+        f if f.member_gt.isdisjoint(cut) and not f.member_height_hint
+        else replace(
             f,
-            member_lt=f.member_lt & keep,
-            member_gt=f.member_gt & keep,
+            member_gt=f.member_gt - cut,
             # positive hints step down; None and 0 stay
             member_height_hint=f.member_height_hint and f.member_height_hint - 1,
         )
         for f in space.families
         if f.id not in consumed
     )
-    return _subspace(type(space), space, keep, families)
+    return _cut_minimal(space, cut, families)
 
 
 def thomason_heights(space):

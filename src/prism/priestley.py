@@ -266,13 +266,14 @@ class FlaggedPriestley(Value):
     the constructor drops it from the instance, and a cached property
     closes it again from the principal up-sets on first read.  Principal
     down- and up-sets come from one index of both directions, cover lists
-    per lower point from another, families by id from a third, and
-    families by bound point and by limit from a trigger index; all four
-    are cached properties built on first use, not fields, so equality,
-    hashing, ``repr`` and ``replace`` see only the fields.  Equality and
-    hashing compare the covers in place of ``order``; ``repr`` shows
-    ``order``.  The down-set test scans the covers once, not the principal
-    closures of the set's points.
+    per lower point and cover counts per upper point from another (which
+    a derivative hands down, cut, to its result), families by id from a
+    third, and families by bound point and by limit from a trigger index;
+    all four are cached properties built on first use, not fields, so
+    equality, hashing, ``repr`` and ``replace`` see only the fields.
+    Equality and hashing compare the covers in place of ``order``;
+    ``repr`` shows ``order``.  The down-set test scans the covers once, not
+    the principal closures of the set's points.
     """
 
     concrete: frozenset
@@ -321,12 +322,14 @@ class FlaggedPriestley(Value):
         )
 
     @cached_property
-    def _covers_above(self):
-        """Lower point -> the cover pairs leaving it."""
-        above = {}
+    def _cover_index(self):
+        """Lower point -> the cover pairs leaving it, and upper point -> the
+        number of covers into it."""
+        above, indegree = {}, {}
         for ab in self.covers:
             above.setdefault(ab[0], []).append(ab)
-        return above
+            indegree[ab[1]] = indegree.get(ab[1], 0) + 1
+        return above, indegree
 
     def is_down_set(self, subset):
         """Whether ``subset`` holds everything below its points.  By
@@ -350,11 +353,11 @@ class FlaggedPriestley(Value):
         return tuple(f.id for f in self.families)
 
     def minimal_concrete(self):
-        """Concrete points with nothing below them, members included."""
-        blocked = {b for (_, b) in self.covers}
-        for f in self.families:
-            blocked |= f.member_lt
-        return frozenset(p for p in self.concrete if p not in blocked)
+        """Concrete points with nothing below them, members included: no
+        cover ends at them and no family has them in member_lt."""
+        return self.concrete.difference(
+            self._cover_index[1], *(f.member_lt for f in self.families)
+        )
 
     @cached_property
     def _triggers(self):
@@ -710,30 +713,51 @@ def _assemble(cls, points, covers, families):
     return space
 
 
-def _subspace(cls, space, points, families):
-    """The subspace of ``space`` on the frozenset ``points``, of class
-    ``cls``, equal to what the public constructor builds from its fields.
+def _subspace(space, points, families):
+    """The flagged subspace of ``space`` on the frozenset ``points``, equal
+    to what the public constructor builds from its fields.
 
     On an up-set (no cover leaves ``points``) the covers are the parent's
     covers between its points, and the pair objects are shared: a point
-    between two of its points lies above one of them, so inside.  Every
-    subset the library cuts is an up-set (a derivative drops minimal
-    points, a generalization closure is an up-closure, a catalog part a
-    union of order components); any other subset has its induced order
-    reduced afresh.  Families cut from validated ones (bounds and limits
-    inside ``points``, in the parent's sorted order) keep sorted, unique
-    ids, limits inside the space and no cycle, so they are not checked
-    again.
+    between two of its points lies above one of them, so inside.  The
+    subsets ``restrict`` is given are arbitrary: a generalization closure
+    is an up-closure and a catalog part a union of order components, but
+    any other subset has its induced order reduced afresh.  A derivative
+    does not come here (see ``_cut_minimal``).  Families cut from validated
+    ones (bounds and limits inside ``points``, in the parent's sorted
+    order) keep sorted, unique ids, limits inside the space and no cycle,
+    so they are not checked again.
     """
-    above = space._covers_above
+    above = space._cover_index[0]
     covers = []
     for a in points:
         for ab in above.get(a, ()):
             if ab[1] not in points:  # not an up-set
                 induced = [(p, q) for p in points for q in space.up_closure(p) & points]
-                return _assemble(cls, points, _transitive_closure(points, induced)[0], families)
+                covers = _transitive_closure(points, induced)[0]
+                return _assemble(FlaggedPriestley, points, covers, families)
             covers.append(ab)
-    return _assemble(cls, points, frozenset(covers), families)
+    return _assemble(FlaggedPriestley, points, frozenset(covers), families)
+
+
+def _cut_minimal(space, cut, families):
+    """``space`` less the minimal points ``cut``, with ``families``: a
+    Thomason derivative.  The points kept are an up-set, so its covers are
+    the parent's less those leaving ``cut``, the only ones walked.  Its
+    cover index, stored in it, is the parent's less ``cut`` (which no
+    cover enters), with the dropped covers' in-degrees lowered."""
+    above, indegree = space._cover_index
+    dropped = [ab for a in cut for ab in above.get(a, ())]
+    above, indegree = dict(above), dict(indegree)
+    for a in cut:
+        above.pop(a, None)
+    for _, b in dropped:
+        indegree[b] -= 1
+        if not indegree[b]:
+            del indegree[b]
+    child = _assemble(type(space), space.concrete - cut, space.covers.difference(dropped), families)
+    child.__dict__["_cover_index"] = above, indegree
+    return child
 
 
 def restrict(space, points, family_ids):
@@ -747,9 +771,8 @@ def restrict(space, points, family_ids):
     Points outside ``space`` raise ValueError.
     """
     pts = frozenset(points)
-    unknown = pts - space.concrete
-    if unknown:
-        raise ValueError("restrict to unknown point %r" % (min(unknown),))
+    if not pts <= space.concrete:
+        raise ValueError("restrict to unknown point %r" % (min(pts - space.concrete),))
     by_id = space._families_by_id
     fams = (
         f if f.member_lt | f.member_gt <= pts
@@ -757,7 +780,7 @@ def restrict(space, points, family_ids):
         for f in map(by_id.get, sorted(by_id.keys() & family_ids))
         if f.limit in pts
     )
-    return _subspace(FlaggedPriestley, space, pts, fams)
+    return _subspace(space, pts, fams)
 
 
 def instantiate(space, depth):

@@ -679,7 +679,10 @@ def test_random_heights_against_fixed_point():
 def assert_equals_rebuild(sub, order):
     """A derived space equals the public constructor's build of its points,
     its families and the order ``order`` of its parent induces on its
-    points, and both answer the principal closures alike."""
+    points, and both answer the principal closures alike.  Its cover
+    index, handed down by a derivative or built on first read, is the
+    one the build makes from its covers, and its minimal points are
+    those no cover ends at and no family has in member_lt."""
     points = sub.points if isinstance(sub, FinitePriestley) else sub.concrete
     induced = [(a, b) for (a, b) in order if a in points and b in points]
     if isinstance(sub, FinitePriestley):
@@ -690,6 +693,52 @@ def assert_equals_rebuild(sub, order):
     for p in points:
         assert sub.down_closure(p) == built.down_closure(p)
         assert sub.up_closure(p) == built.up_closure(p)
+    (above, indegree), (built_above, built_indegree) = sub._cover_index, built._cover_index
+    assert {a: sorted(v) for a, v in above.items()} == {a: sorted(v) for a, v in built_above.items()}
+    assert indegree == built_indegree
+    blocked = {b for (_, b) in sub.covers}.union(*(f.member_lt for f in sub.families))
+    assert sub.minimal_concrete() == points - blocked
+
+
+class Untouchable(list):
+    """A cover list that fails when walked."""
+
+    def __iter__(self):
+        raise AssertionError("a cover of a kept point was walked")
+
+
+def test_a_derivative_hands_its_cover_index_down():
+    """A derivative walks only the covers leaving the points it removes,
+    and stores its cover index in the result: the parent's, less the
+    removed points, with the parent's own cover lists of the kept ones.
+    So a chain of derivatives builds the index once."""
+    rng = random.Random(2929)
+    spaces = [flagged_snapshot(Torus(2), 4), circle_snapshot(8)]
+    while len(spaces) < 60:
+        n = rng.randint(2, 9)
+        spaces.append(random_presentation(rng) or FinitePriestley(
+            frozenset(range(n)),
+            [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4],
+        ))
+    steps = 0
+    for space in spaces:
+        current = space
+        for _ in range(3):
+            above = current._cover_index[0]
+            cut = current.concrete - thomason_derivative(current).concrete
+            for a in above.keys() - cut:
+                above[a] = Untouchable(above[a])
+            child = thomason_derivative(current)
+            assert "_cover_index" in vars(child)
+            kept = vars(child)["_cover_index"][0]
+            assert kept.keys() == above.keys() - cut
+            assert all(kept[a] is above[a] for a in kept)
+            steps += bool(cut and kept)
+            for a in kept:
+                above[a] = kept[a] = kept[a][:]
+            assert_equals_rebuild(child, space.order)
+            current = child
+    assert steps >= 50
 
 
 def test_derived_spaces_equal_their_rebuild():

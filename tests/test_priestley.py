@@ -36,6 +36,7 @@ from prism import (
     restrict,
     specialization_order,
     spectral_of_priestley,
+    thomason_derivative,
     thomason_heights,
     thomason_points,
     up_closure_symbolic,
@@ -562,7 +563,9 @@ def test_order_closure_against_brute_force():
 def test_order_and_heights_against_networkx():
     """The covers are networkx's transitive reduction of the order, the
     order its reflexive transitive closure of the covers, and on a finite
-    poset the Thomason height of a point is the longest path ending there."""
+    poset the Thomason height of a point is the longest path ending there.
+    Three derivative steps of each space are inputs too; the covers of each
+    step are the reduction of its parent's order on the points kept."""
     nx = pytest.importorskip("networkx")
     rng = random.Random(2028)
     spaces = [flagged_snapshot(g, b) for g, b in
@@ -576,6 +579,18 @@ def test_order_and_heights_against_networkx():
         given = nx.DiGraph(pairs)
         given.add_nodes_from(range(n))
         assert posets[-1].covers == set(nx.transitive_reduction(given).edges)
+    derived = []
+    for parent in spaces + posets:
+        for _ in range(3):
+            child = thomason_derivative(parent)
+            strict = nx.DiGraph(ab for ab in parent.order if ab[0] != ab[1])
+            strict.add_nodes_from(parent.concrete)
+            kept = strict.subgraph(child.concrete)
+            assert child.covers == set(nx.transitive_reduction(kept).edges)
+            derived.append(child)
+            parent = child
+    spaces += [s for s in derived if not isinstance(s, FinitePriestley)]
+    posets += [s for s in derived if isinstance(s, FinitePriestley)]
     for space in spaces + posets:
         strict = nx.DiGraph(ab for ab in space.order if ab[0] != ab[1])
         strict.add_nodes_from(space.concrete)

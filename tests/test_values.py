@@ -175,7 +175,7 @@ def test_height_assignment_equality_and_repr():
 
 def test_caches_stay_out_of_equality_hash_and_repr():
     fresh, used = space(), space()
-    used.order, used.down_closure("L"), used._triggers, used._covers_above
+    used.order, used.down_closure("L"), used._triggers, used._cover_index
     assert "_down_up" in vars(used) and "_down_up" not in vars(fresh)
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     s = SymbolicSet({"a"}, {"f": "all"})
