@@ -35,7 +35,6 @@ from .priestley import (
     ANTICHAIN,
     COFINITE,
     DESCENDING,
-    EMPTY,
     FinitePriestley,
     FlaggedPriestley,
     SymbolicSet,
@@ -69,9 +68,13 @@ class HeightAssignment(Value):
 
 
 class DispersionCandidate(Value):
-    """A candidate dispersion: natural values on points and family ids."""
+    """A candidate dispersion: natural values on points and family ids, in
+    a dict of its own not to be changed, and its last is_dispersion verdict."""
 
     values: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", dict(self.values))
 
     def __getitem__(self, name):
         return self.values[name]
@@ -188,8 +191,17 @@ def is_dispersion(space, candidate):
     Last, a family valued below its ``member_height_hint`` fails, witnessed
     ``("family-hint", id)``: the hint is the height of the members, and a
     dispersion dominates the heights.  A candidate that misses a point or
-    a family, or names something else, raises ValueError.
+    a family, or names something else, raises ValueError.  The candidate
+    keeps the verdict with the space object, so the axioms are checked once
+    per space and candidate: a call on another space checks afresh and
+    replaces it.  A ValueError is never kept.
     """
+    if candidate.__dict__.get("_verdict", (None,))[0] is not space:
+        candidate.__dict__["_verdict"] = space, _check_axioms(space, candidate)
+    return candidate._verdict[1]
+
+
+def _check_axioms(space, candidate):
     values = candidate.values
     missing = space.concrete.difference(values)
     if missing:
@@ -238,28 +250,31 @@ class StrataReport(Value):
 def strata(space, candidate, level):
     """The slice (P_level, P_below, P_at_or_above) of a dispersion.
 
-    Only the axioms are checked (ChecksFailed if they fail); the structure
-    of the slice follows from them.  Values rise strictly along the covers,
-    from member_gt to family to member_lt, and from a family to its limit.
-    So P_below is a down-set, and open: a limit inside has its family's
+    Only the axioms are checked, once per space and candidate by
+    ``is_dispersion`` (ChecksFailed if they fail; a level that is not a
+    natural raises ValueError); the structure of the slice follows from
+    them.  Values rise strictly along the covers, from member_gt to family
+    to member_lt, and from a family to its limit.  So P_below is a
+    down-set, and open: a limit inside has its family's
     value below its own.  Its complement P_at_or_above is then a closed
     up-set, and a point or member of value ``level`` has everything below
     it, and every family it is the limit of, outside that part: the slice
     is minimal and isolated there.  Every portion is ``all`` or ``empty``.
     """
+    if type(level) is not int or level < 0:
+        raise ValueError("level %r is not a natural" % (level,))
     ok, witness = is_dispersion(space, candidate)
     if not ok:
         raise ChecksFailed("candidate is not a dispersion: %r" % (witness,))
-    values = candidate.values
-
-    def sym(pred):
-        return SymbolicSet(
-            frozenset(p for p in space.concrete if pred(values[p])),
-            {f.id: (ALL if pred(values[f.id]) else EMPTY) for f in space.families},
-        )
-
-    below = sym(lambda v: v < level)
-    return StrataReport(sym(lambda v: v == level), below, below.complement(space))
+    values, below, at = candidate.values, ([], {}), ([], {})  # points, portions
+    for p in space.concrete:
+        if values[p] <= level:
+            (below if values[p] < level else at)[0].append(p)
+    for f in space.families:
+        if values[f.id] <= level:
+            (below if values[f.id] < level else at)[1][f.id] = ALL
+    below = SymbolicSet(*below)
+    return StrataReport(SymbolicSet(*at), below, below.complement(space))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from math import inf
 import pytest
 
 from prism import (
+    ALL,
     ANTICHAIN,
     DESCENDING,
     EMPTY,
@@ -322,6 +323,106 @@ def test_strata_rejects_non_dispersion():
     bad = DispersionCandidate({p: 0 for p in list(circ.concrete) + ["cyclic"]})
     with pytest.raises(ChecksFailed):
         strata(circ, bad, 0)
+
+
+def heights_candidate(space):
+    h = thomason_heights(space)
+    return DispersionCandidate({**h.heights, **h.family_heights})
+
+
+def test_strata_rejects_a_level_not_a_natural():
+    circ = circle_snapshot()
+    for level in ("1", 1.5, -1, True):
+        with pytest.raises(ValueError, match="is not a natural"):
+            strata(circ, heights_candidate(circ), level)
+
+
+def assert_strata_by_definition(space, candidate):
+    """Every level from 0 to one past the top: the slice and the lower part
+    hold exactly the points and whole families of value ``level`` and of
+    value below it, and the upper part is the complement of the lower."""
+    values = candidate.values
+    for level in range(max(values.values(), default=0) + 2):
+        report = strata(space, candidate, level)
+        for part, keep in ((report.at_level, lambda v: v == level),
+                           (report.below, lambda v: v < level),
+                           (report.at_or_above, lambda v: v >= level)):
+            assert part.concrete == {p for p in space.concrete if keep(values[p])}, level
+            for f in space.families:
+                assert part.portion(f.id) == (ALL if keep(values[f.id]) else EMPTY), level
+        assert report.at_or_above == report.below.complement(space)
+
+
+def test_strata_against_their_definition():
+    rng = random.Random(5151)
+    checked = 0
+    for _ in range(300):
+        space = random_presentation(rng)
+        if space is None:
+            continue
+        try:
+            heights = thomason_heights(space)
+        except InconsistentHint:
+            continue
+        if not heights.all_finite():
+            continue
+        base = {**heights.heights, **heights.family_heights}
+        # the heights, and a spread-out copy whose levels skip values
+        for values in (base, {k: 2 * v + rng.randint(0, 1) for k, v in base.items()}):
+            candidate = DispersionCandidate(values)
+            if is_dispersion(space, candidate)[0]:
+                assert_strata_by_definition(space, candidate)
+                checked += 1
+    assert checked >= 100, checked
+    for group, bound in ((Circle(), 8), (SO3(), 8), (Torus(2), 4)):
+        space = flagged_snapshot(group, bound)
+        candidate = heights_candidate(space)
+        assert is_dispersion(space, candidate) == (True, None)
+        assert_strata_by_definition(space, candidate)
+
+
+def test_verdict_is_each_spaces_own():
+    up = FinitePriestley({"a", "b"}, [("a", "b")])
+    down = FinitePriestley({"a", "b"}, [("b", "a")])
+    candidate = DispersionCandidate({"a": 0, "b": 1})
+    assert is_dispersion(up, candidate) == (True, None)
+    assert is_dispersion(down, candidate) == (False, ("order", "b", "a"))
+    with pytest.raises(ChecksFailed) as err:
+        strata(down, candidate, 0)
+    assert str(err.value) == "candidate is not a dispersion: ('order', 'b', 'a')"
+    assert is_dispersion(up, candidate) == (True, None)
+    assert strata(up, candidate, 1).at_level.concrete == {"b"}
+
+
+def test_candidate_keeps_its_own_values():
+    space = FinitePriestley({"a", "b"}, [("a", "b")])
+    values = {"a": 0, "b": 1}
+    candidate = DispersionCandidate(values)
+    assert is_dispersion(space, candidate) == (True, None)
+    values["b"] = 0
+    assert candidate.values == {"a": 0, "b": 1}
+    assert is_dispersion(space, candidate) == (True, None)
+    assert is_dispersion(space, DispersionCandidate(values)) == (False, ("order", "a", "b"))
+
+
+def test_strata_check_the_axioms_once(monkeypatch):
+    import prism.dispersion
+
+    calls, check = [], prism.dispersion._check_axioms
+    monkeypatch.setattr(prism.dispersion, "_check_axioms",
+                        lambda space, candidate: calls.append(space) or check(space, candidate))
+    circ = circle_snapshot()
+    candidate = heights_candidate(circ)
+    assert is_dispersion(circ, candidate) == (True, None)
+    for level in range(5):
+        strata(circ, candidate, level)
+    assert len(calls) == 1
+    # a candidate that is not total raises on every call: no verdict is kept
+    partial = DispersionCandidate(dict(thomason_heights(circ).heights))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not total"):
+            strata(circ, partial, 0)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

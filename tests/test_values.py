@@ -4,7 +4,7 @@ compared field, hashing, exact ``repr``, immutability and ``replace``."""
 import pytest
 
 from prism.cube import CubeDiagram, CubeNode, Diagonal, Laxness, Projection, SpliceStep
-from prism.dispersion import DispersionCandidate, HeightAssignment, StrataReport
+from prism.dispersion import DispersionCandidate, HeightAssignment, StrataReport, is_dispersion
 from prism.errors import replace
 from prism.liegroups import (
     O2,
@@ -181,6 +181,10 @@ def test_caches_stay_out_of_equality_hash_and_repr():
     s = SymbolicSet({"a"}, {"f": "all"})
     assert s._tags == {"f": "all"} and "_tags" not in repr(s)
     assert s == SymbolicSet({"a"}, (("f", "all"),))
+    # a checked candidate keeps its verdict, and still equals an unchecked one
+    checked, fresh = DispersionCandidate({"L": 3, "f": 2}), DispersionCandidate({"L": 3, "f": 2})
+    assert is_dispersion(space(), checked) == (True, None) and "_verdict" in vars(checked)
+    assert checked == fresh and repr(checked) == repr(fresh)
 
 
 def test_constructor_signatures():
