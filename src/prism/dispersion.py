@@ -28,6 +28,7 @@ with the hint decremented (its phantom substructure is being consumed).
 """
 
 from math import inf
+from types import MappingProxyType
 
 from .errors import ChecksFailed, InconsistentHint, Value, replace
 from .priestley import (
@@ -69,12 +70,13 @@ class HeightAssignment(Value):
 
 class DispersionCandidate(Value):
     """A candidate dispersion: natural values on points and family ids, in
-    a dict of its own not to be changed, and its last is_dispersion verdict."""
+    a read-only view of a dict of its own, and its last is_dispersion
+    verdict, which therefore cannot go stale."""
 
-    values: dict
+    values: MappingProxyType
 
     def __post_init__(self):
-        object.__setattr__(self, "values", dict(self.values))
+        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
 
     def __getitem__(self, name):
         return self.values[name]

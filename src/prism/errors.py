@@ -55,10 +55,11 @@ class Value:
     other setting or deleting raises AttributeError.  Caches may live in the
     instance ``__dict__``.
 
-    Six hot classes keep a faster ``__init__`` of their own: ``DualLattice``,
-    ``AccumulationFamily``, ``Cyc``, ``Dih`` (1440, 862, 714, 342 per catalog
-    sweep), ``SymbolicSet``, ``ClopenDownClass`` (2500, 4130 per point-query
-    pass).
+    Five hot classes keep a faster ``__init__`` of their own:
+    ``AccumulationFamily``, ``Cyc``, ``Dih`` (862, 462, 180 per catalog-cold
+    pass), ``SymbolicSet``, ``ClopenDownClass`` (2500, 4130 per point-query
+    pass).  ``DualLattice`` is built by none there: the torus enumeration
+    sets a key's fields directly.
     """
 
     _fields = _compare = ()

@@ -77,12 +77,7 @@ def hermite_normal_form(rows):
     ``rows`` may be any iterable of rows, a ``zip`` of columns among them.
     Returns the canonical basis as a tuple of rows: pivots positive,
     entries above each pivot reduced into [0, pivot), zero rows dropped.
-    Rows already in that form, as every torus key is, come back after one
-    scan of their pivots.
     """
-    rows = tuple(map(tuple, rows))
-    if _is_canonical(rows):
-        return rows
     basis = {}  # pivot column -> row (zeros strictly before the pivot)
     for row in rows:
         v = list(row)
@@ -108,22 +103,6 @@ def hermite_normal_form(rows):
                 for k in range(len(row)):
                     above[k] -= q * row[k]
     return tuple(tuple(r) for r in ordered)
-
-
-def _is_canonical(rows):
-    """Whether ``rows`` are nonzero, in echelon form with positive pivots,
-    and each entry above a pivot lies in [0, pivot)."""
-    j = -1
-    for i, row in enumerate(rows):
-        j += 1
-        while j < len(row) and not row[j]:
-            j += 1
-        if j == len(row) or row[j] < 0 or any(row[:j]):
-            return False
-        for above in rows[:i]:
-            if not 0 <= above[j] < row[j]:
-                return False
-    return True
 
 
 def solve_in_lattice(hnf_rows, vector):

@@ -130,8 +130,8 @@ CATALOG_SWEEP = (
     (Torus(2), (2, 3, 4)),
     # rank three is swept at the small bound only: bound 3 adds no new
     # heights, and the all-pairs reference below would make 2.1 M
-    # cotoral_le calls on its 1450 keys, some six seconds (the snapshot
-    # itself builds in about 0.2 s)
+    # cotoral_le calls on its 1450 keys, some four seconds (the snapshot
+    # itself builds in about 0.07 s)
     (Torus(3), (2,)),
 )
 

@@ -116,14 +116,19 @@ def _transitive_closure(points, pairs):
 def _cycle_pair(succ, indegree):
     """Two distinct points of one cycle among those Kahn's pass left over.
 
-    Every left-over point has a left-over predecessor, so walking
-    predecessors from any of them runs into a cycle.  Ties are broken by
-    ``repr`` so that the pair named does not depend on hash order.
+    Every left-over point has a left-over predecessor, and every successor
+    of one is left over, so one pass over their successors lists the
+    predecessors, and walking them from any left-over point runs into a
+    cycle.  Ties are broken by ``repr`` so that the pair named does not
+    depend on hash order.
     """
-    left = {p for p, n in indegree.items() if n}
-    pred = {q: min((p for p in left if q in succ[p]), key=repr) for q in left}
+    preds = {p: [] for p, n in indegree.items() if n}
+    for p in preds:
+        for q in succ[p]:
+            preds[q].append(p)
+    pred = {q: min(ps, key=repr) for q, ps in preds.items()}
     seen = set()
-    p = min(left, key=repr)
+    p = min(pred, key=repr)
     while p not in seen:
         seen.add(p)
         p = pred[p]
@@ -289,13 +294,13 @@ class FlaggedPriestley(Value):
             raise ValueError("duplicate family ids")
         if set(ids) & set(pts):
             raise ValueError("family ids must not collide with point names")
-        pairs = set(map(tuple, self.order))
+        pairs = [*map(tuple, self.order)]
         for f in fams:
             if f.limit not in pts:
                 raise ValueError("family %s has unknown limit %r" % (f.id, f.limit))
             if not (f.member_lt <= pts and f.member_gt <= pts):
                 raise ValueError("family %s bounds mention unknown points" % f.id)
-            pairs.update((g, l) for g in f.member_gt for l in f.member_lt)
+            pairs += [(g, l) for g in f.member_gt for l in f.member_lt]
         object.__setattr__(self, "concrete", pts)
         object.__setattr__(self, "covers", _transitive_closure(pts, pairs)[0])
         object.__setattr__(self, "families", fams)

@@ -403,6 +403,14 @@ def test_candidate_keeps_its_own_values():
     assert candidate.values == {"a": 0, "b": 1}
     assert is_dispersion(space, candidate) == (True, None)
     assert is_dispersion(space, DispersionCandidate(values)) == (False, ("order", "a", "b"))
+    # the values are read-only, so the kept verdict cannot go stale
+    with pytest.raises(TypeError):
+        candidate.values["b"] = 0
+    with pytest.raises(TypeError):
+        del candidate.values["b"]
+    assert candidate.values == {"a": 0, "b": 1}
+    fresh = DispersionCandidate({"a": 0, "b": 1})
+    assert is_dispersion(space, candidate) == is_dispersion(space, fresh) == (True, None)
 
 
 def test_strata_check_the_axioms_once(monkeypatch):

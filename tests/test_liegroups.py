@@ -549,30 +549,44 @@ def test_torus_snapshot_lattices_are_canonical():
     themselves, not by a second reduction: pivots positive and strictly
     to the right of the last, zeros before them, and each entry above a
     pivot in [0, pivot).  A unimodularly mixed copy of the rows reduces
-    back to them."""
+    back to them.  The enumeration builds its keys without the public
+    constructor, so each must equal the one that constructor builds."""
     rng = random.Random(11)
-    for name, key in snapshot_keys(Torus(2), 3).items():
-        last = -1
-        for i, row in enumerate(key.rows):
-            p = next(j for j, x in enumerate(row) if x)
-            assert p > last and row[p] > 0, name
-            assert all(0 <= above[p] < row[p] for above in key.rows[:i]), name
-            last = p
-        mixed = [list(r) for r in key.rows]
-        for _ in range(4 if len(mixed) > 1 else 0):
-            i, j = rng.sample(range(len(mixed)), 2)
-            c = rng.choice((-2, -1, 1, 2))
-            mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
-        mixed = [[-x for x in r] if rng.random() < 0.5 else r for r in mixed]
-        rng.shuffle(mixed)
-        assert la.hermite_normal_form(mixed) == key.rows, name
-        assert key_name(Torus(2), key) == name
-        assert parse_key(Torus(2), name) == key
+    for rank, bound in ((2, 3), (1, 8), (3, 2)):
+        group = Torus(rank)
+        for name, key in snapshot_keys(group, bound).items():
+            last = -1
+            for i, row in enumerate(key.rows):
+                p = next(j for j, x in enumerate(row) if x)
+                assert p > last and row[p] > 0, name
+                assert all(0 <= above[p] < row[p] for above in key.rows[:i]), name
+                last = p
+            mixed = [list(r) for r in key.rows]
+            for _ in range(4 if len(mixed) > 1 else 0):
+                i, j = rng.sample(range(len(mixed)), 2)
+                c = rng.choice((-2, -1, 1, 2))
+                mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
+            mixed = [[-x for x in r] if rng.random() < 0.5 else r for r in mixed]
+            rng.shuffle(mixed)
+            assert la.hermite_normal_form(mixed) == key.rows, name
+            assert DualLattice(rank, key.rows) == key, name
+            assert key_name(group, key) == name
+            assert parse_key(group, name) == key
     # a name that is not in Hermite normal form reads as the key it spans
     assert parse_key(Torus(2), "L[1 -2; 0 2]") == snapshot_keys(Torus(2), 3)["L[1 0; 0 2]"]
     # the rows may come from any iterable, a zip of columns among them
     assert la.hermite_normal_form(zip((2, 0), (1, 3))) == ((2, 1), (0, 3))
     assert la.hermite_normal_form(zip((1, 0), (0, 2))) == ((1, 0), (0, 2))
+
+
+def test_torus_keys_take_no_second_hermite_form(monkeypatch):
+    """The enumeration writes each key's rows in Hermite form and builds
+    the key from them: no key is reduced again."""
+    calls = []
+    hnf = la.hermite_normal_form
+    monkeypatch.setattr(la, "hermite_normal_form", lambda rows: calls.append(1) or hnf(rows))
+    lattices = _hnf_lattices(3, 2)
+    assert len(lattices) == 279 and not calls
 
 
 def test_semidirect_snapshot_unsupported():

@@ -616,6 +616,19 @@ def test_three_cycle_is_rejected_by_both_classes():
         FlaggedPriestley(frozenset("abcde"), order, ())
 
 
+def test_a_cycle_under_a_long_chain_is_named():
+    # p00000 < p00001 < p00000, under a chain p00001 < p00002 < ... < p03001:
+    # every chain point is left over by the topological pass
+    points = ["p%05d" % i for i in range(3002)]
+    order = [("p00000", "p00001"), ("p00001", "p00000")] + list(zip(points[1:], points[2:]))
+    with pytest.raises(ValueError, match=r"^order is not antisymmetric on 'p00001', 'p00000'$"):
+        FinitePriestley(frozenset(points), order)
+    # unknown points are named as a tuple pair, also when given as lists
+    for cls, extra in ((FinitePriestley, ()), (FlaggedPriestley, ((),))):
+        with pytest.raises(ValueError, match=r"^order mentions unknown point in \('a', 'x'\)$"):
+            cls(frozenset("ab"), [["z", "a"], ["a", "x"], ["a", "b"]], *extra)
+
+
 def test_restrict_rejects_unknown_points():
     space = convergent_sequence_space("limit-above")  # points 0..3 and inf
     with pytest.raises(ValueError, match=r"^restrict to unknown point 'a'$"):

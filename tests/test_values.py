@@ -108,7 +108,7 @@ CASES = [
      "optional=frozenset())",
      "required"),
     (DispersionCandidate({"a": 1}), DispersionCandidate(values={"a": 1}),
-     DispersionCandidate({"a": 2}), "DispersionCandidate(values={'a': 1})", "values"),
+     DispersionCandidate({"a": 2}), "DispersionCandidate(values=mappingproxy({'a': 1}))", "values"),
     (StrataReport(SymbolicSet(()), SymbolicSet({"a"}), SymbolicSet(())),
      StrataReport(at_level=SymbolicSet(()), below=SymbolicSet({"a"}), at_or_above=SymbolicSet(())),
      StrataReport(SymbolicSet(()), SymbolicSet(()), SymbolicSet(())),
