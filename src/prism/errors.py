@@ -56,10 +56,11 @@ class Value:
     instance ``__dict__``.
 
     Five hot classes keep a faster ``__init__`` of their own:
-    ``AccumulationFamily``, ``Cyc``, ``Dih`` (862, 462, 180 per catalog-cold
-    pass), ``SymbolicSet``, ``ClopenDownClass`` (2500, 4130 per point-query
-    pass).  ``DualLattice`` is built by none there: the torus enumeration
-    sets a key's fields directly.
+    ``AccumulationFamily``, ``Cyc`` and ``Dih``, built by every catalog
+    snapshot (the catalog-cold benchmark), and ``SymbolicSet`` and
+    ``ClopenDownClass``, built by the closures and clopen classes (the
+    point-queries benchmark).  ``DualLattice`` is built by none there: the
+    torus enumeration sets a key's fields directly.
     """
 
     _fields = _compare = ()

@@ -964,10 +964,11 @@ def _read_text(path):
 
 
 # the group identifiers: names, and kinds read as "<kind>:<argument>", each
-# made from the argument
+# made from the argument; a torus rank that is no integer reaches Torus as
+# it was given, and Torus refuses it
 _GROUP_NAMES = {"circle": Circle, "o2": O2, "so3": SO3, "nsu3t": lambda: NSU3T}
 _GROUP_KINDS = {
-    "torus": lambda arg: Torus(int(arg)),
+    "torus": lambda arg: Torus(int(arg) if re.fullmatch(r"\s*[-+]?\d+\s*", arg) else arg),
     "finite": lambda arg: finite_group_from_json(_read_text(arg)),
     "semidirect": lambda arg: toral_semidirect_from_json(_read_text(arg)),
 }

@@ -31,11 +31,6 @@ finite rule is the decidable surrogate for closure in the modelled space.
 Complementing swaps open with closed and up-sets with down-sets, so a set
 is open, or an up-set, when its complement is closed, or a down-set.
 
-A space stores its order as its cover relation (the Hasse diagram,
-``covers``): a finite partial order is fixed by its covers, so equality
-and hashing compare them.  The closed pair set ``order``, and the
-principal down- and up-sets, are built from the covers on first read.
-
 For families with ``member_order == "descendingChain"`` the members form a
 strictly descending chain (samples are listed top down).  Portions then
 read as: ``finite`` is a prefix (an up-closed piece), ``cofinite`` a tail.
@@ -79,8 +74,8 @@ def _kahn(succ):
 
 
 def _transitive_closure(points, pairs):
-    """The covers of the reflexive-transitive closure of ``pairs`` and its
-    up-sets (point -> set); raises unless the closure is antisymmetric.
+    """The covers (a list) of the reflexive-transitive closure of ``pairs``
+    and its up-sets (point -> set); raises unless it is antisymmetric.
 
     Kahn's algorithm orders the points topologically; a point it leaves
     over lies on a cycle or above one.  Up-sets are built in reverse
@@ -110,7 +105,7 @@ def _transitive_closure(points, pairs):
                 s |= up[q]
                 covers.append((p, q))
         up[p] = s
-    return frozenset(covers), up
+    return covers, up
 
 
 def _cycle_pair(succ, indegree):
@@ -267,18 +262,11 @@ class FlaggedPriestley(Value):
     the members lie between them; the whole is checked for antisymmetry,
     which refuses every cycle, one through members included, and reduced
     to its covers, the stored order.  Spaces cut from a built one keep
-    these pairs.  The closed pair set ``order`` is no stored field value:
-    the constructor drops it from the instance, and a cached property
-    closes it again from the principal up-sets on first read.  Principal
-    down- and up-sets come from one index of both directions, cover lists
-    per lower point and cover counts per upper point from another (which
-    a derivative hands down, cut, to its result), families by id from a
-    third, and families by bound point and by limit from a trigger index;
-    all four are cached properties built on first use, not fields, so
-    equality, hashing, ``repr`` and ``replace`` see only the fields.
-    Equality and hashing compare the covers in place of ``order``;
-    ``repr`` shows ``order``.  The down-set test scans the covers once, not
-    the principal closures of the set's points.
+    these pairs.  Equality and hashing compare the covers in place of
+    ``order``, which is no stored field value: the constructor drops it,
+    and a cached property closes it again on first read.  ``repr`` shows
+    ``order``.  Indices built on first use are cached properties, not
+    fields, so equality, hashing, ``repr`` and ``replace`` do not see them.
     """
 
     concrete: frozenset
@@ -302,7 +290,7 @@ class FlaggedPriestley(Value):
                 raise ValueError("family %s bounds mention unknown points" % f.id)
             pairs += [(g, l) for g in f.member_gt for l in f.member_lt]
         object.__setattr__(self, "concrete", pts)
-        object.__setattr__(self, "covers", _transitive_closure(pts, pairs)[0])
+        object.__setattr__(self, "covers", frozenset(_transitive_closure(pts, pairs)[0]))
         object.__setattr__(self, "families", fams)
         object.__delattr__(self, "order")
 
@@ -718,33 +706,6 @@ def _assemble(cls, points, covers, families):
     return space
 
 
-def _subspace(space, points, families):
-    """The flagged subspace of ``space`` on the frozenset ``points``, equal
-    to what the public constructor builds from its fields.
-
-    On an up-set (no cover leaves ``points``) the covers are the parent's
-    covers between its points, and the pair objects are shared: a point
-    between two of its points lies above one of them, so inside.  The
-    subsets ``restrict`` is given are arbitrary: a generalization closure
-    is an up-closure and a catalog part a union of order components, but
-    any other subset has its induced order reduced afresh.  A derivative
-    does not come here (see ``_cut_minimal``).  Families cut from validated
-    ones (bounds and limits inside ``points``, in the parent's sorted
-    order) keep sorted, unique ids, limits inside the space and no cycle,
-    so they are not checked again.
-    """
-    above = space._cover_index[0]
-    covers = []
-    for a in points:
-        for ab in above.get(a, ()):
-            if ab[1] not in points:  # not an up-set
-                induced = [(p, q) for p in points for q in space.up_closure(p) & points]
-                covers = _transitive_closure(points, induced)[0]
-                return _assemble(FlaggedPriestley, points, covers, families)
-            covers.append(ab)
-    return _assemble(FlaggedPriestley, points, frozenset(covers), families)
-
-
 def _cut_minimal(space, cut, families):
     """``space`` less the minimal points ``cut``, with ``families``: a
     Thomason derivative.  The points kept are an up-set, so its covers are
@@ -766,14 +727,19 @@ def _cut_minimal(space, cut, families):
 
 
 def restrict(space, points, family_ids):
-    """Flagged subspace on the given points and families.
+    """Flagged subspace on the given points and families, equal to what the
+    public constructor builds from its fields.
 
     Family bounds are intersected with the surviving points, and a family
     whose bounds all survive is kept as it is; the caller is responsible
-    for the subset being meaningful (e.g. a clopen piece).  The subspace
-    carries the covers of its induced order, cut from the covers of
-    ``space`` when the subset is an up-set, and is not validated again.
-    Points outside ``space`` raise ValueError.
+    for the subset being meaningful (e.g. a clopen piece).  Points outside
+    ``space`` raise ValueError.  On an up-set (no cover leaves the points),
+    as a generalization closure and a catalog part are, the covers are the
+    parent's covers between the points, pair objects shared: a point
+    between two of them lies above one, so inside.  Any other subset has
+    its induced order reduced afresh.  A derivative does not come here (see
+    ``_cut_minimal``).  Families cut from validated ones keep sorted, unique
+    ids, limits inside the space and no cycle, so nothing is checked again.
     """
     pts = frozenset(points)
     if not pts <= space.concrete:
@@ -785,7 +751,16 @@ def restrict(space, points, family_ids):
         for f in map(by_id.get, sorted(by_id.keys() & family_ids))
         if f.limit in pts
     )
-    return _subspace(space, pts, fams)
+    above = space._cover_index[0]
+    covers = []
+    for a in pts:
+        for ab in above.get(a, ()):
+            if ab[1] not in pts:  # not an up-set
+                induced = [(p, q) for p in pts for q in space.up_closure(p) & pts]
+                covers = _transitive_closure(pts, induced)[0]
+                return _assemble(FlaggedPriestley, pts, frozenset(covers), fams)
+            covers.append(ab)
+    return _assemble(FlaggedPriestley, pts, frozenset(covers), fams)
 
 
 def instantiate(space, depth):

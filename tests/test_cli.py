@@ -219,6 +219,9 @@ def test_exit_codes(tmp_path, capsys):
     for argv in (["heights", "torus:4"], ["heights", "circle", "--bound", "0"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and err.startswith("ValueError: ")
+    for argv in (["heights", "torus:x"], ["noetherian", "torus:"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "ValueError: torus rank is not an integer\n"), argv
     # every finite group has the class of its trivial subgroup
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"classes": []}))

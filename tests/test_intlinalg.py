@@ -7,6 +7,8 @@ from math import gcd
 
 from fractions import Fraction
 
+import pytest
+
 from prism import intlinalg as la
 
 
@@ -100,6 +102,39 @@ def test_snf_against_determinantal_divisors():
                 for cols in combinations(range(ncols), k)
             )
             assert prod == reduce(gcd, minors, 0), m
+
+
+def test_snf_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+    rng = random.Random(11)
+    nonzero = 0
+    for _ in range(400):
+        nrows, ncols = rng.randint(1, 3), rng.randint(1, 3)
+        m = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(nrows)]
+        theirs = invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
+        assert la.snf_invariant_factors(m) == tuple(abs(int(d)) for d in theirs if d), m
+        nonzero += any(map(any, m))
+    assert nonzero > 350
+
+
+def test_hnf_lattice_against_sympy():
+    """sympy's Hermite form is column-style, so the lattices are compared:
+    the columns of its form of the transposed rows span ours."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+    rng = random.Random(12)
+    cases = 0
+    while cases < 300:
+        ncols = rng.randint(1, 3)
+        rows = [tuple(rng.randint(-6, 6) for _ in range(ncols)) for _ in range(rng.randint(1, ncols))]
+        ours = la.hermite_normal_form(rows)
+        if len(ours) < len(rows):  # sympy's form needs full column rank
+            continue
+        theirs = hermite_normal_form(sympy.Matrix(rows).T)
+        columns = zip(*(map(int, row) for row in theirs.tolist()))
+        assert la.hermite_normal_form(columns) == ours, rows
+        cases += 1
 
 
 def test_solve_in_lattice():

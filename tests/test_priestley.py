@@ -43,6 +43,7 @@ from prism import (
 )
 from prism.errors import replace
 from prism.liegroups import Torus, flagged_snapshot, group_from_spec
+from prism.oracles import catalog_spaces
 from prism.priestley import realize_in_truncation
 
 
@@ -664,6 +665,83 @@ def test_restrict_takes_family_ids_in_any_order():
         with pytest.raises(KeyError):
             sub.family("nope")
     assert cut
+
+
+def separating_up_set(space, x):
+    """The principal up-set of ``x`` with the members that a clopen up-set
+    holding it holds: all of a family with a lower bound in it, or of a
+    chain family whose limit is in it, and all but finitely many of any
+    other family whose limit is in it."""
+    up = space.up_closure(x)
+    tags = {}
+    for f in space.families:
+        if not f.member_gt.isdisjoint(up) or (f.member_order == DESCENDING and f.limit in up):
+            tags[f.id] = ALL
+        elif f.limit in up:
+            tags[f.id] = COFINITE
+    return SymbolicSet(up, tags)
+
+
+def unseparated_points(space):
+    """The concrete points x whose separating up-set is no clopen up-set.
+    For every other x, that set holds x and no y with x not below y: the
+    Priestley separation axiom for the pairs (x, y)."""
+    return [
+        x for x in sorted(space.concrete)
+        if not (u := separating_up_set(space, x)).is_clopen(space) or not u.is_up_set(space)
+    ]
+
+
+def pairs_to_separate(space):
+    """The number of pairs (x, y) of concrete points with x not below y."""
+    return sum(len(space.concrete - space.up_closure(x)) for x in space.concrete)
+
+
+def random_closed_presentation(rng):
+    """A random flagged space whose order is closed in the modelled space:
+    each family's limit is drawn first, its upper bounds (member_lt) from
+    the limit's up-set and its lower bounds (member_gt) from its down-set,
+    so what lies above (below) every member lies above (below) the limit.
+    Chain families are drawn too."""
+    n = rng.randint(1, 9)
+    pts = ["p%d" % i for i in range(n)]
+    order = [(pts[i], pts[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.25]
+    poset = FinitePriestley(frozenset(pts), order)
+    fams = []
+    for k in range(rng.randint(0, 4)):
+        limit = rng.choice(pts)
+        lt = frozenset(p for p in sorted(poset.up_closure(limit)) if rng.random() < 0.4)
+        gt = frozenset(p for p in sorted(poset.down_closure(limit))
+                       if p not in lt and rng.random() < 0.4)
+        fams.append(AccumulationFamily(
+            id="f%d" % k,
+            limit=limit,
+            member_order=DESCENDING if rng.random() < 0.2 else ANTICHAIN,
+            member_lt=lt,
+            member_gt=gt,
+        ))
+    return FlaggedPriestley(frozenset(pts), order, tuple(fams))
+
+
+def test_priestley_separation_of_the_catalog():
+    spaces = catalog_spaces()
+    assert [unseparated_points(s) for s in spaces] == [[]] * len(spaces)
+    assert sum(map(pairs_to_separate, spaces)) == 83965
+
+
+def test_priestley_separation_of_closed_presentations():
+    rng = random.Random(3232)
+    pairs = chains = 0
+    for _ in range(3000):
+        space = random_closed_presentation(rng)
+        assert unseparated_points(space) == [], flagged_to_json(space)
+        pairs += pairs_to_separate(space)
+        chains += any(f.member_order == DESCENDING for f in space.families)
+    assert pairs > 50000 and chains > 500
+    # a presentation whose order is not closed: the members lie below c,
+    # but the limit L does not, and no clopen up-set holds L and not c
+    space = FlaggedPriestley(frozenset("Lc"), [], (AccumulationFamily("f", "L", member_lt={"c"}),))
+    assert unseparated_points(space) == ["L"]
 
 
 def test_validation_errors():
