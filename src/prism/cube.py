@@ -216,7 +216,7 @@ def decomposition_of(group, snapshot, heights):
         raise NotDispersible("the space has points of infinite height")
     n = int(heights.max_height())
     strata_labels = {}
-    for name in sorted(snapshot.concrete):
+    for name in snapshot.concrete:
         strata_labels.setdefault(heights.heights[name], []).append(
             _label(name, group._weyl(parse_key(group, name)))
         )
@@ -224,6 +224,7 @@ def decomposition_of(group, snapshot, heights):
         strata_labels.setdefault(heights.family_heights[f.id], []).append(
             "... (family %s)" % f.id
         )
+    strata_labels = {h: tuple(sorted(labels)) for h, labels in strata_labels.items()}
     nodes = {}
     edges = {}
     for phi in _nonempty_subsets(n):
@@ -231,7 +232,7 @@ def decomposition_of(group, snapshot, heights):
         nodes[phi] = CubeNode(
             cube_dim=isomax_dim(phi, n),
             stratum=stratum,
-            factor_labels=tuple(sorted(strata_labels.get(stratum, []))),
+            factor_labels=strata_labels.get(stratum, ()),
         )
         for j in range(n + 1):
             if j not in phi:

@@ -55,12 +55,12 @@ class Value:
     other setting or deleting raises AttributeError.  Caches may live in the
     instance ``__dict__``.
 
-    Five hot classes keep a faster ``__init__`` of their own:
-    ``AccumulationFamily``, ``Cyc`` and ``Dih``, built by every catalog
-    snapshot (the catalog-cold benchmark), and ``SymbolicSet`` and
-    ``ClopenDownClass``, built by the closures and clopen classes (the
-    point-queries benchmark).  ``DualLattice`` is built by none there: the
-    torus enumeration sets a key's fields directly.
+    Five hot classes keep a faster ``__init__`` of their own, ``Cyc`` and
+    ``Dih`` sharing their base's: ``AccumulationFamily``, ``Cyc`` and
+    ``Dih``, built by every catalog snapshot (the catalog-cold benchmark),
+    and ``SymbolicSet`` and ``ClopenDownClass``, built by the closures and
+    clopen classes (the point-queries benchmark).  ``DualLattice`` is built
+    by none there: the torus enumeration sets a key's fields directly.
     """
 
     _fields = _compare = ()

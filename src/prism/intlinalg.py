@@ -124,6 +124,18 @@ def solve_in_lattice(hnf_rows, vector):
     return tuple(coeffs)
 
 
+def _lattice_coordinates(hnf_rows, vectors):
+    """The coordinates of each vector in the HNF basis, or None as soon as
+    one vector lies outside the lattice."""
+    coords = []
+    for v in vectors:
+        c = solve_in_lattice(hnf_rows, v)
+        if c is None:
+            return None
+        coords.append(c)
+    return coords
+
+
 def snf_invariant_factors(m):
     """Nonzero invariant factors of an integer matrix, ascending divisibility.
 

@@ -60,26 +60,28 @@ from .priestley import (
 # subgroup keys
 
 
-class Cyc(Value):
+class _ParamKey(Value):
+    """A key with one positive parameter ``n``; each subclass names the key
+    and words the refusal of ``n < 1``."""
+
     n: int
 
     def __init__(self, n):
         if n < 1:
-            raise ValueError("cyclic order must be positive")
+            raise ValueError(self._refusal)
         object.__setattr__(self, "n", n)
+
+
+class Cyc(_ParamKey):
+    _refusal = "cyclic order must be positive"
 
     @property
     def name(self):
         return "C(%d)" % self.n
 
 
-class Dih(Value):
-    n: int  # order 2n
-
-    def __init__(self, n):
-        if n < 1:
-            raise ValueError("dihedral parameter must be positive")
-        object.__setattr__(self, "n", n)
+class Dih(_ParamKey):  # order 2n
+    _refusal = "dihedral parameter must be positive"
 
     @property
     def name(self):
@@ -506,13 +508,8 @@ class Torus(_Group):
     def _cotoral_lt(self, sub, sup):
         """K <= H via annihilators: L_H inside L_K with torsion-free
         quotient (all Smith invariant factors 1)."""
-        coords = []
-        for row in sup.rows:
-            c = la.solve_in_lattice(sub.rows, row)
-            if c is None:
-                return False
-            coords.append(c)
-        return all(f == 1 for f in la.snf_invariant_factors(coords)) if coords else True
+        coords = la._lattice_coordinates(sub.rows, sup.rows)
+        return coords is not None and all(f == 1 for f in la.snf_invariant_factors(coords))
 
     def _height(self, key):
         # the action on H_1 of the central torus is trivial: one summand per dimension
@@ -774,8 +771,9 @@ def spectrum_is_noetherian(group):
 
 
 # a group snapshot of more keys raises ValueError before they are listed:
-# T^3 at bound 4 has 5205, O(2) at bound 100 000 has 200 002 (1.4 s).  The
-# largest torus snapshot admitted, T^3 at bound 7 (76 364 keys), costs
+# T^3 at bound 4 has 5205, and O(2) at bound 100 000 would have 200 002:
+# `prism heights o2 --bound 100000` exits 1 within 0.25 s.  The largest
+# torus snapshot admitted, T^3 at bound 7 (76 364 keys), costs
 # `prism heights` 17.1 s and 891 MB (Python 3.11.7, 2-vCPU host)
 SNAPSHOT_MAX_KEYS = 100_000
 

@@ -97,18 +97,10 @@ def check_snf_torsion():
                 det_h = abs(la.det(lh.rows))
                 if det_h % det_k or det_h // det_k > max_index:
                     continue
-                coords = []
-                contained = True
-                for row in lh.rows:
-                    c = la.solve_in_lattice(lk.rows, row)
-                    if c is None:
-                        contained = False
-                        break
-                    coords.append(c)
-                if not contained:
+                coords = la._lattice_coordinates(lk.rows, lh.rows)
+                if coords is None:
                     continue
-                factors = la.snf_invariant_factors(coords)
-                torsion_free = all(f == 1 for f in factors)
+                torsion_free = all(f == 1 for f in la.snf_invariant_factors(coords))
                 order = _coset_count(coords, max_index + 1)
                 if order != det_h // det_k:
                     raise OracleMismatch(

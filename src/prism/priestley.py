@@ -752,14 +752,10 @@ def restrict(space, points, family_ids):
         if f.limit in pts
     )
     above = space._cover_index[0]
-    covers = []
-    for a in pts:
-        for ab in above.get(a, ()):
-            if ab[1] not in pts:  # not an up-set
-                induced = [(p, q) for p in pts for q in space.up_closure(p) & pts]
-                covers = _transitive_closure(pts, induced)[0]
-                return _assemble(FlaggedPriestley, pts, frozenset(covers), fams)
-            covers.append(ab)
+    covers = [ab for a in pts for ab in above.get(a, ())]
+    if any(b not in pts for _, b in covers):  # not an up-set
+        induced = [(p, q) for p in pts for q in space.up_closure(p) & pts]
+        covers = _transitive_closure(pts, induced)[0]
     return _assemble(FlaggedPriestley, pts, frozenset(covers), fams)
 
 

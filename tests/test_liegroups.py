@@ -165,6 +165,48 @@ def test_torus_order_index_vs_cotoral_le(group, bound, n_keys, n_pairs):
         assert above[a] == expected, a
 
 
+@pytest.mark.parametrize("rank, bound", [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_torus_families_against_the_definition(rank, bound):
+    """A family conv:H stands for subgroups K of H one dimension lower that
+    the bound cannot tell from H.  Take u the first unit vector off the
+    rational span of L_H and m a prime past the bound: L_K = L_H + Z m u
+    meets the box [-b, b]^r where L_H does, K lies below H, below exactly
+    the family's upper bounds and above no key, and its dimension is the
+    family's height hint."""
+    group, m = Torus(rank), 101
+    keys = snapshot_keys(group, bound)
+    box = list(itertools.product(range(-bound, bound + 1), repeat=rank))
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    for fam in flagged_snapshot(group, bound).families:
+        h = keys[fam.limit]
+        u = next(e for e in units if len(DualLattice(rank, h.rows + (e,)).rows) > len(h.rows))
+        k = DualLattice(rank, h.rows + (tuple(m * x for x in u),))
+        assert [v for v in box if la.solve_in_lattice(k.rows, v) is not None] == [
+            v for v in box if la.solve_in_lattice(h.rows, v) is not None
+        ], fam.id
+        assert cotoral_le(group, k, h), fam.id
+        for name, x in keys.items():
+            assert cotoral_le(group, k, x) == (name in fam.member_lt), (fam.id, name)
+            assert not cotoral_le(group, x, k), (fam.id, name)
+        assert k.corank() == (fam.member_height_hint or 0), fam.id
+
+
+@pytest.mark.parametrize("group", [Circle(), O2(), SO3()], ids=repr)
+def test_one_dim_family_samples_against_the_order(group):
+    """Each family's samples, the members just past the bound, lie below
+    exactly the family's upper bounds and above no key."""
+    for bound in (2, 3, 4, 16):
+        keys = snapshot_keys(group, bound)
+        for fam in flagged_snapshot(group, bound).families:
+            assert len(fam.samples) == 3, fam.id
+            for sample in fam.samples:
+                s = parse_key(group, sample)
+                assert sample not in keys
+                for name, x in keys.items():
+                    assert cotoral_le(group, s, x) == (name in fam.member_lt), (sample, name)
+                    assert not cotoral_le(group, x, s), (sample, name)
+
+
 @pytest.mark.parametrize("rank, bound", [(2, 4), (2, 6), (3, 2)])
 def test_box_points_vs_scan(rank, bound):
     """For every key of at least two rows, the listed points are the origin

@@ -43,7 +43,7 @@ from prism import (
 )
 from prism.errors import replace
 from prism.liegroups import Torus, flagged_snapshot, group_from_spec
-from prism.oracles import catalog_spaces
+from prism.oracles import catalog_spaces, check_derivative_vs_heights
 from prism.priestley import realize_in_truncation
 
 
@@ -742,6 +742,23 @@ def test_priestley_separation_of_closed_presentations():
     # but the limit L does not, and no clopen up-set holds L and not c
     space = FlaggedPriestley(frozenset("Lc"), [], (AccumulationFamily("f", "L", member_lt={"c"}),))
     assert unseparated_points(space) == ["L"]
+
+
+def test_closed_presentations_keep_their_invariants():
+    """Seeded closed presentations survive a JSON round trip, pass the
+    derivative-against-heights oracle and realize every clopen class."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=300)
+    @hypothesis.given(hypothesis.strategies.integers(0, 2**32 - 1))
+    def check(seed):
+        space = random_closed_presentation(random.Random(seed))
+        assert flagged_from_json(flagged_to_json(space)) == space
+        check_derivative_vs_heights([space], kmax=3)
+        for cls in clopen_down_sets(space):
+            cls.realize(space)
+
+    check()
 
 
 def test_validation_errors():
