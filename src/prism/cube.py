@@ -32,7 +32,7 @@ and every accumulation family in a stratum contributes one marker label
 """
 
 from itertools import combinations
-import json
+from json.encoder import encode_basestring_ascii
 
 from .errors import NotDispersible, Value
 
@@ -42,9 +42,11 @@ from .errors import NotDispersible, Value
 
 
 def subset_name(phi):
+    """``02`` for {0, 2}; a subset with an element past 9 is written in
+    braces, ``{0,10}``, so no two subsets share a name."""
     if all(e <= 9 for e in phi):
         return "".join(str(e) for e in phi)
-    return ",".join(str(e) for e in phi)
+    return "{%s}" % ",".join(str(e) for e in phi)
 
 
 def _check_subset(phi, n):
@@ -178,11 +180,12 @@ class CubeDiagram(Value):
 def factor_label(group, point_name):
     from .liegroups import parse_key
 
-    return _label(point_name, group._weyl(parse_key(group, point_name)))
+    return "%s ~ %s" % (point_name, _model(group._weyl(parse_key(group, point_name))))
 
 
-def _label(point_name, w):
-    """The factor label of a point whose Weyl data is ``w``."""
+def _model(w):
+    """The algebraic model in the factor label of a point whose Weyl data
+    is ``w``; it depends on nothing else."""
     if w.identity_component == "1":
         model = "D(Q)" if w.component_order == 1 else "D(Q[%s])" % w.component_name
     else:
@@ -191,7 +194,7 @@ def _label(point_name, w):
             model = "Lambda_I D(%s)" % base
         else:
             model = "Lambda_I D(%s[%s])" % (base, w.component_name)
-    return "%s ~ %s" % (point_name, model)
+    return model
 
 
 def build_decomposition(group, bound):
@@ -210,16 +213,20 @@ def build_decomposition(group, bound):
 
 def decomposition_of(group, snapshot, heights):
     """Cube diagram for an explicit snapshot with known finite heights."""
-    from .liegroups import parse_key
+    from .liegroups import _keys_of
 
     if not heights.all_finite():
         raise NotDispersible("the space has points of infinite height")
     n = int(heights.max_height())
+    names = tuple(snapshot.concrete)
+    models = {}  # one per Weyl datum; a catalog group has a handful
     strata_labels = {}
-    for name in snapshot.concrete:
-        strata_labels.setdefault(heights.heights[name], []).append(
-            _label(name, group._weyl(parse_key(group, name)))
-        )
+    for name, key in zip(names, _keys_of(group, names)):
+        w = group._weyl(key)
+        model = models.get(w)
+        if model is None:
+            model = models[w] = _model(w)
+        strata_labels.setdefault(heights.heights[name], []).append("%s ~ %s" % (name, model))
     for f in snapshot.families:
         strata_labels.setdefault(heights.family_heights[f.id], []).append(
             "... (family %s)" % f.id
@@ -229,11 +236,7 @@ def decomposition_of(group, snapshot, heights):
     edges = {}
     for phi in _nonempty_subsets(n):
         stratum = max(phi)
-        nodes[phi] = CubeNode(
-            cube_dim=isomax_dim(phi, n),
-            stratum=stratum,
-            factor_labels=strata_labels.get(stratum, ()),
-        )
+        nodes[phi] = CubeNode(isomax_dim(phi, n), stratum, strata_labels.get(stratum, ()))
         for j in range(n + 1):
             if j not in phi:
                 edges[(phi, j)] = classify_edge(phi, j, n)
@@ -270,25 +273,36 @@ def _walk(diagram):
 
 
 def cube_to_json(diagram):
-    """Schema cube/v1, mirroring the diagram fields."""
+    """Schema cube/v1, mirroring the diagram fields, in the bytes of
+    ``json.dumps(indent=2, sort_keys=True)``.  They are written here: an
+    indent sends ``json`` to its pure-Python encoder."""
     nodes, edges = _walk(diagram)
-    return json.dumps(
-        {
-            "schema": "cube/v1",
-            "n": diagram.n,
-            "nodes": [
-                {"subset": name, "dim": node.cube_dim, "stratum": node.stratum,
-                 "factors": list(node.factor_labels)}
-                for name, node in nodes
-            ],
-            "edges": [
-                {"from": name, "j": j, "kind": kind, "zeta": zeta}
-                for name, j, _, kind, zeta in edges
-            ],
-        },
-        indent=2,
-        sort_keys=True,
-    )
+    # the nodes of one stratum share its labels: render them once
+    factors = {labels: _json_list(map(encode_basestring_ascii, labels), 8)
+               for labels in {node.factor_labels for _, node in nodes}}
+    node_items = [
+        '{\n      "dim": %d,\n      "factors": %s,\n      "stratum": %d,\n'
+        '      "subset": %s\n    }'
+        % (node.cube_dim, factors[node.factor_labels], node.stratum,
+           encode_basestring_ascii(name))
+        for name, node in nodes
+    ]
+    edge_items = [
+        '{\n      "from": %s,\n      "j": %d,\n      "kind": %s,\n      "zeta": %s\n    }'
+        % (encode_basestring_ascii(name), j, encode_basestring_ascii(kind),
+           "null" if zeta is None else "%d" % zeta)
+        for name, j, _, kind, zeta in edges
+    ]
+    return '{\n  "edges": %s,\n  "n": %d,\n  "nodes": %s,\n  "schema": "cube/v1"\n}' % (
+        _json_list(edge_items, 4), diagram.n, _json_list(node_items, 4))
+
+
+def _json_list(items, indent):
+    """A JSON array of rendered items, at ``indent`` spaces, as json.dumps
+    lays it out; ``[]`` when empty."""
+    pad = "\n" + " " * indent
+    body = ("," + pad).join(items)
+    return "[%s%s\n%s]" % (pad, body, " " * (indent - 2)) if body else "[]"
 
 
 def cube_to_dot(diagram):

@@ -669,11 +669,19 @@ def key_name(group, key):
 
 def parse_key(group, name):
     """Inverse of key_name on the group's key vocabulary."""
+    return _keys_of(group, (name,))[0]
+
+
+def _keys_of(group, names):
+    """``parse_key`` of each name, in order, reading the key table once."""
     table = _key_table(_catalog(group))
-    key = table.get(name)
-    if key is None:
-        key = table[name] = _parse_key(group, name)
-    return key
+    keys = []
+    for name in names:
+        key = table.get(name)
+        if key is None:
+            key = table[name] = _parse_key(group, name)
+        keys.append(key)
+    return keys
 
 
 @lru_cache(maxsize=None)
@@ -906,7 +914,8 @@ def _candidate(group, space, hook):
     """The group's ``hook`` on a snapshot's keys; a family takes its limit's
     value minus one, as the limit is one dimension and rank above it."""
     value_of = getattr(_catalog(group), hook)
-    values = {name: value_of(parse_key(group, name)) for name in space.concrete}
+    names = tuple(space.concrete)
+    values = dict(zip(names, map(value_of, _keys_of(group, names))))
     for f in space.families:
         if f.id != group._family_id(f.limit):
             raise KeyMismatch("unknown family %r" % (f.id,))

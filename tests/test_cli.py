@@ -182,6 +182,22 @@ def test_show_torus3_digest(capsys, bound):
     assert hashlib.sha256(out.encode()).hexdigest() == SHOW_TORUS3_SHA256[bound]
 
 
+# sha256 of the stdout of "cube <group> --format json" for T^3 at bound 2
+# (four strata, 279 points) and SO(3) at bound 4 (exceptional classes);
+# the CI workflow checks T^3 at bound 3 the same way
+CUBE_JSON_SHA256 = {
+    ("torus:3", "2"): "6a579197021beb876df628046a82ca9be2752efb9e2bb29b68257e035a77c2c7",
+    ("so3", "4"): "72e777cd28cd212833b5799df9a3096bf0e5a34addf6ca9998383edfb3e774c4",
+}
+
+
+@pytest.mark.parametrize("group, bound", sorted(CUBE_JSON_SHA256))
+def test_cube_json_digest(capsys, group, bound):
+    code, out, err = run(capsys, "cube", group, "--bound", bound, "--format", "json")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == CUBE_JSON_SHA256[group, bound]
+
+
 def test_snapshot_past_the_key_limit():
     # the key count is checked before any key is listed, so a huge bound
     # fails at once instead of running until the memory is gone

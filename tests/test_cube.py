@@ -1,6 +1,7 @@
 """Punctured-cube combinatorics and decomposition diagrams."""
 
 import json
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from prism import (
     Circle,
     CubeDiagram,
     Diagonal,
+    DispersionCandidate,
     FiniteClass,
     FiniteGroup,
     Laxness,
@@ -32,11 +34,12 @@ from prism import (
     isomax_table,
     punctured_cube,
     recollement_schedule,
+    strata,
     thomason_heights,
 )
-from prism.cube import subset_name
+from prism.cube import _nonempty_subsets, subset_name
 from prism.errors import replace
-from prism.oracles import check_isomax
+from prism.oracles import CATALOG_SWEEP, check_isomax
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -123,10 +126,31 @@ def test_punctured_cube_counts():
     assert len(punctured_cube(3).points) == 15
     cube = punctured_cube(2)
     assert cube.le("0", "02") and not cube.le("02", "0")
-    # a subset with an element past 9 is named with commas
-    assert subset_name((0, 2)) == "02" and subset_name((0, 10)) == "0,10"
+    # a subset with an element past 9 is named in braces
+    assert subset_name((0, 2)) == "02" and subset_name((0, 10)) == "{0,10}"
+    assert subset_name((1, 2)) == "12" and subset_name((12,)) == "{12}"
     with pytest.raises(ValueError):
         punctured_cube(-1)
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_subset_names_past_nine_are_distinct(n):
+    names = [subset_name(phi) for phi in _nonempty_subsets(n)]
+    assert len(set(names)) == len(names) == 2 ** (n + 1) - 1
+    assert len(punctured_cube(n).concrete) == 2 ** (n + 1) - 1
+
+
+def test_isomax_members_read_back_past_nine():
+    def read(name):
+        return tuple(map(int, name[1:-1].split(","))) if name.startswith("{") else tuple(map(int, name))
+
+    rows = isomax_table(10).splitlines()
+    assert len(rows) == 2 ** 11 - 1
+    for row, phi in zip(rows, _nonempty_subsets(10)):
+        name, _, members = row.split(" ")
+        assert read(name) == phi
+        inner = members[len("members={"):-1]
+        assert [read(m) for m in re.findall(r"\{[^}]*\}|[^,{}]+", inner)] == isomax_members(phi, 10)
 
 
 def test_recollement_schedule():
@@ -229,6 +253,26 @@ def test_component_decompositions_so3():
     assert sum(1 for _, d in comps if d.n == 1) == 2
 
 
+def test_nodes_name_the_strata():
+    """Each node at stratum k labels exactly the points of P_k, the slice
+    ``strata`` gives for the heights, and marks exactly the families valued k."""
+    for group, bounds in CATALOG_SWEEP:
+        for bound in bounds:
+            space = flagged_snapshot(group, bound)
+            heights = thomason_heights(space)
+            candidate = DispersionCandidate({**heights.heights, **heights.family_heights})
+            d = decomposition_of(group, space, heights)
+            for node in d.nodes.values():
+                k = node.stratum
+                marks = {label[len("... (family "):-1] for label in node.factor_labels
+                         if label.startswith("... (family ")}
+                points = {label.split(" ~ ")[0] for label in node.factor_labels
+                          if not label.startswith("... (family ")}
+                assert points == strata(space, candidate, k).at_level.concrete
+                assert marks == {f.id for f in space.families if candidate.values[f.id] == k}
+                assert len(points) + len(marks) == len(node.factor_labels)
+
+
 def test_not_dispersible():
     from prism import FlaggedPriestley, AccumulationFamily, decomposition_of
     from prism.dispersion import thomason_heights as th
@@ -254,6 +298,55 @@ def test_json_export():
     lax = [e for e in json.loads(cube_to_json(build_decomposition(Torus(2), 2)))["edges"]
            if e["kind"] == "laxness"]
     assert lax and all(e["zeta"] == 1 for e in lax)
+
+
+def json_oracle(diagram):
+    """cube/v1 through json.dumps, with the fields as the schema lists them."""
+    names = {phi: subset_name(phi) for phi in diagram.nodes}
+    return json.dumps(
+        {
+            "schema": "cube/v1",
+            "n": diagram.n,
+            "nodes": [
+                {"subset": names[phi], "dim": diagram.nodes[phi].cube_dim,
+                 "stratum": diagram.nodes[phi].stratum,
+                 "factors": list(diagram.nodes[phi].factor_labels)}
+                for phi in sorted(diagram.nodes)
+            ],
+            "edges": [
+                {"from": names[phi], "j": j, "kind": type(edge).__name__.lower(),
+                 "zeta": getattr(edge, "zeta", None)}
+                for (phi, j), edge in sorted(diagram.edges.items())
+            ],
+        },
+        indent=2,
+        sort_keys=True,
+    )
+
+
+def test_json_export_against_json_dumps(tmp_path):
+    diagrams = [build_decomposition(group, bound)
+                for group, bounds in CATALOG_SWEEP for bound in bounds]
+    # n = 0, and labels that need escaping: a quote, a backslash, a
+    # non-ASCII letter and a tab
+    odd = FiniteGroup((
+        FiniteClass("1", 6, 'W"\\é'),
+        FiniteClass('a"b', 1),
+        FiniteClass("c\\d", 2),
+        FiniteClass("été", 3, "é"),
+        FiniteClass("tab\there", 1),
+    ))
+    diagrams.append(build_decomposition(odd, 1))
+    assert diagrams[-1].n == 0
+    # a stratum with no factors
+    circle = build_decomposition(Circle(), 2)
+    nodes = {phi: replace(node, factor_labels=()) if node.stratum == 1 else node
+             for phi, node in circle.nodes.items()}
+    diagrams.append(CubeDiagram(circle.n, nodes, circle.edges))
+    for d in diagrams:
+        assert cube_to_json(d) == json_oracle(d)
+    assert '"factors": []' in cube_to_json(diagrams[-1])
+    assert "\\u00e9t\\u00e9" in cube_to_json(diagrams[-2])
 
 
 def test_dot_export():
