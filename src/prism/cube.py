@@ -165,6 +165,11 @@ class CubeNode(Value):
 
 
 class CubeDiagram(Value):
+    """A punctured cube of height ``n``.  It sorts itself and names each
+    subset once, and the exporters read that: ``_nodes`` holds (name, node)
+    and ``_edges`` (name, j, target name, kind, zeta), kind the edge class's
+    name lower-cased.  Equality, hashing and ``repr`` see only the fields."""
+
     n: int
     nodes: dict
     edges: dict
@@ -172,9 +177,18 @@ class CubeDiagram(Value):
     def __post_init__(self):
         if len(self.nodes) != 2 ** (self.n + 1) - 1:
             raise ValueError("node count must be 2^(n+1) - 1")
-        for phi, node in self.nodes.items():
+        names, nodes = {}, []
+        for phi, node in sorted(self.nodes.items()):  # distinct keys: no node is compared
             if node.cube_dim != isomax_dim(phi, self.n):
                 raise ValueError("node %r has wrong cube dimension" % (phi,))
+            names[phi] = name = subset_name(phi)
+            nodes.append((name, node))
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_edges", [
+            (names[phi], j, names[tuple(sorted(phi + (j,)))],
+             type(edge).__name__.lower(), getattr(edge, "zeta", None))
+            for (phi, j), edge in sorted(self.edges.items())
+        ])
 
 
 def factor_label(group, point_name):
@@ -259,24 +273,11 @@ def component_decompositions(group, bound):
 # exports
 
 
-def _walk(diagram):
-    """Sorted nodes as (name, node), edges as (name, j, target name, kind,
-    zeta) with kind the edge class's name lower-cased; each subset named once."""
-    names = {phi: subset_name(phi) for phi in diagram.nodes}
-    nodes = [(names[phi], diagram.nodes[phi]) for phi in sorted(names)]
-    edges = [
-        (names[phi], j, names[tuple(sorted(phi + (j,)))],
-         type(edge).__name__.lower(), getattr(edge, "zeta", None))
-        for (phi, j), edge in sorted(diagram.edges.items())
-    ]
-    return nodes, edges
-
-
 def cube_to_json(diagram):
     """Schema cube/v1, mirroring the diagram fields, in the bytes of
     ``json.dumps(indent=2, sort_keys=True)``.  They are written here: an
     indent sends ``json`` to its pure-Python encoder."""
-    nodes, edges = _walk(diagram)
+    nodes, edges = diagram._nodes, diagram._edges
     # the nodes of one stratum share its labels: render them once
     factors = {labels: _json_list(map(encode_basestring_ascii, labels), 8)
                for labels in {node.factor_labels for _, node in nodes}}
@@ -306,15 +307,14 @@ def _json_list(items, indent):
 
 
 def cube_to_dot(diagram):
-    nodes, edges = _walk(diagram)
     lines = ["digraph cube {", "  node [shape=box];"]
-    for name, node in nodes:
+    for name, node in diagram._nodes:
         label = "\\n".join(
             ["phi=" + name, "dim=%d" % node.cube_dim, "stratum=%d" % node.stratum,
              *node.factor_labels]
         )
         lines.append('  "phi=%s" [label="%s"];' % (name, label))
-    for name, _, target, kind, zeta in edges:
+    for name, _, target, kind, zeta in diagram._edges:
         attrs = "kind=" + kind if zeta is None else "kind=%s, zeta=%d" % (kind, zeta)
         lines.append('  "phi=%s" -> "phi=%s" [%s];' % (name, target, attrs))
     lines.append("}")
@@ -322,12 +322,11 @@ def cube_to_dot(diagram):
 
 
 def cube_to_text(diagram):
-    nodes, edges = _walk(diagram)
-    lines = ["punctured cube of height %d (%d nodes)" % (diagram.n, len(nodes))]
-    for name, node in nodes:
+    lines = ["punctured cube of height %d (%d nodes)" % (diagram.n, len(diagram.nodes))]
+    for name, node in diagram._nodes:
         lines.append("phi=%s dim=%d stratum=%d" % (name, node.cube_dim, node.stratum))
         lines.extend("  " + fl for fl in node.factor_labels)
-    for name, j, _, kind, zeta in edges:
+    for name, j, _, kind, zeta in diagram._edges:
         extra = " j=%d" % j if kind == "projection" else "" if zeta is None else " zeta=%d" % zeta
         lines.append("edge phi=%s +%d: %s%s" % (name, j, kind, extra))
     return "\n".join(lines) + "\n"

@@ -541,7 +541,9 @@ class Torus(_Group):
         two-row key is above a three-row ``K`` when both its rows are listed
         and their coordinates' cross product (the 2x2 minors) has gcd 1.
         Each ``K``'s hits are sorted by key position, which gives the pair
-        list of the all-pairs test, in its order.
+        list of the all-pairs test, in its order.  Each key's family is
+        built in its walk, right after its hits, in key order; the
+        constructor orders the families by id.
         """
         lattices = _hnf_lattices(self.rank, bound)
         keys = {k.name: k for k in lattices}
@@ -551,8 +553,7 @@ class Torus(_Group):
         for pos, k in enumerate(lattices):
             if len(k.rows) == 2:
                 planes.setdefault(k.rows[0], {})[k.rows[1]] = pos
-        up = {}
-        order_pairs = []
+        order_pairs, fams = [], []
         for name, key in zip(names, lattices):
             hits = [0] if key.rows else []  # every proper subgroup lies under G
             if len(key.rows) > 1:
@@ -566,16 +567,13 @@ class Torus(_Group):
                             if gcd(a * d[1] - b * d[0], a * d[2] - c * d[0], b * d[2] - c * d[1]) == 1:
                                 hits.append(seconds[y])
                 hits.sort()
-            up[name] = [names[pos] for pos in hits]
-            order_pairs += [(name, above) for above in up[name]]
-        corank = {name: k.corank() for name, k in keys.items()}
-        fams = [
-            AccumulationFamily(self._family_id(name), name,
-                               member_lt=frozenset([name, *up[name]]),
-                               member_height_hint=corank[name] - 1 if corank[name] > 1 else None)
-            for name in sorted(keys)
-            if corank[name]
-        ]
+            up = [names[pos] for pos in hits]
+            order_pairs += [(name, above) for above in up]
+            corank = key.corank()
+            if corank:
+                fams.append(AccumulationFamily(
+                    self._family_id(name), name, member_lt=frozenset([name, *up]),
+                    member_height_hint=corank - 1 if corank > 1 else None))
         parts = [("all", tuple(keys), tuple(f.id for f in fams))]
         return keys, order_pairs, fams, parts
 

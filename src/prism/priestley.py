@@ -743,7 +743,7 @@ def restrict(space, points, family_ids):
     """
     pts = frozenset(points)
     if not pts <= space.concrete:
-        raise ValueError("restrict to unknown point %r" % (min(pts - space.concrete),))
+        raise ValueError("restrict to unknown point %r" % (min(pts - space.concrete, key=repr),))
     by_id = space._families_by_id
     fams = (
         f if f.member_lt | f.member_gt <= pts

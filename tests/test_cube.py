@@ -349,6 +349,20 @@ def test_json_export_against_json_dumps(tmp_path):
     assert "\\u00e9t\\u00e9" in cube_to_json(diagrams[-2])
 
 
+def test_each_subset_is_named_once_per_diagram(monkeypatch):
+    """A diagram and its three exports name each of its subsets once."""
+    import prism.cube as cube
+
+    space = flagged_snapshot(Torus(3), 2)
+    heights = thomason_heights(space)
+    names = []
+    monkeypatch.setattr(cube, "subset_name", lambda phi: names.append(phi) or subset_name(phi))
+    d = decomposition_of(Torus(3), space, heights)
+    for export in (cube_to_json, cube_to_dot, cube_to_text):
+        export(d)
+    assert len(d.nodes) == 15 and sorted(names) == sorted(d.nodes)
+
+
 def test_dot_export():
     dot = cube_to_dot(build_decomposition(Circle(), 2))
     assert dot.startswith("digraph")

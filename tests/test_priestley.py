@@ -634,6 +634,9 @@ def test_restrict_rejects_unknown_points():
     space = convergent_sequence_space("limit-above")  # points 0..3 and inf
     with pytest.raises(ValueError, match=r"^restrict to unknown point 'a'$"):
         restrict(space, {"inf", "b", "a"}, ["tail"])
+    # unknown points of mixed types are named by the least repr, not compared
+    with pytest.raises(ValueError, match=r"^restrict to unknown point 'a'$"):
+        restrict(FinitePriestley(frozenset({1, 2}), [(1, 2)]), {3, "a"}, ())
     assert restrict(space, {"0", "inf"}, ["tail"]).le("0", "0")
 
 
